@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import SpadeEngine, metric_by_name
 from repro.core.peel import peel
-from repro.datasets import load_preset
+from repro.datasets import edge_rows, load_preset
 
 SCALE = 0.1
 
@@ -25,12 +25,7 @@ def loaded_engines(data):
     out = {}
     for m in ("DG", "DW", "FD"):
         eng = SpadeEngine(metric_by_name(m))
-        eng.bulk_load(
-            list(
-                data.initial[["src", "dst", "amount"]].itertuples(index=False, name=None)
-            ),
-            priors=data.priors,
-        )
+        eng.bulk_load(edge_rows(data.initial), priors=data.priors)
         out[m] = eng
     return out
 
@@ -46,9 +41,7 @@ def test_bench_static_peel(data, loaded_engines, metric, benchmark):
 def test_bench_insert_edge(data, loaded_engines, metric, benchmark):
     """|ΔE| = 1: single-edge incremental maintenance (engine mutates)."""
     eng = loaded_engines[metric]
-    rows = itertools.cycle(
-        data.increments[["src", "dst", "amount"]].itertuples(index=False, name=None)
-    )
+    rows = itertools.cycle(edge_rows(data.increments))
     benchmark(lambda: eng.insert_edge(*next(rows)))
 
 
@@ -56,9 +49,7 @@ def test_bench_insert_edge(data, loaded_engines, metric, benchmark):
 def test_bench_insert_batch_1k(data, loaded_engines, metric, benchmark):
     """|ΔE| = 1K batch reordering (Algorithm 2)."""
     eng = loaded_engines[metric]
-    rows = list(
-        data.increments[["src", "dst", "amount"]].itertuples(index=False, name=None)
-    )
+    rows = edge_rows(data.increments)
     chunks = itertools.cycle(
         [rows[i : i + 1000] for i in range(0, len(rows), 1000)]
     )

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from repro.core import SpadeEngine, metric_by_name
-from repro.datasets import load_preset
+from repro.datasets import edge_rows, load_preset
 
 SCALE = 0.1
 
@@ -16,10 +16,7 @@ def data():
 
 def _engine(data, metric):
     eng = SpadeEngine(metric_by_name(metric))
-    eng.bulk_load(
-        list(data.initial[["src", "dst", "amount"]].itertuples(index=False, name=None)),
-        priors=data.priors,
-    )
+    eng.bulk_load(edge_rows(data.initial), priors=data.priors)
     return eng
 
 
@@ -27,9 +24,7 @@ def _engine(data, metric):
 def test_bench_is_benign_classification(data, metric, benchmark):
     """Definition 4.1 is an O(1) check — the cheap half of edge grouping."""
     eng = _engine(data, metric)
-    rows = itertools.cycle(
-        data.increments[["src", "dst", "amount"]].itertuples(index=False, name=None)
-    )
+    rows = itertools.cycle(edge_rows(data.increments))
     benchmark(lambda: eng.is_benign(*next(rows)))
 
 
@@ -37,7 +32,5 @@ def test_bench_is_benign_classification(data, metric, benchmark):
 def test_bench_grouped_insert(data, metric, benchmark):
     """Grouped insertion: benign edges buffer, urgent edges flush."""
     eng = _engine(data, metric)
-    rows = itertools.cycle(
-        data.increments[["src", "dst", "amount"]].itertuples(index=False, name=None)
-    )
+    rows = itertools.cycle(edge_rows(data.increments))
     benchmark(lambda: eng.insert_grouped(*next(rows), max_buffer=1000))

@@ -43,17 +43,13 @@ from repro.core.sim import (
     simulate_grouping,
     simulate_static,
 )
-from repro.datasets import load_preset
+from repro.datasets import edge_rows, load_preset
 from repro.datasets.generator import GraphData
 from repro.spark.streaming import replay, replay_grouped
 
 GRAB_SETS = ["grab1_lite", "grab2_lite", "grab3_lite", "grab4_lite"]
 METRICS = ["DG", "DW", "FD"]
 BATCH = 1_000
-
-
-def _edge_rows(pdf) -> List[tuple]:
-    return list(pdf[["src", "dst", "amount"]].itertuples(index=False, name=None))
 
 
 def _calibrated_arrivals(data: GraphData, static_s: float, batch: int) -> np.ndarray:
@@ -115,7 +111,7 @@ def run(
             metric = metric_by_name(m)
             # --- static ε: scratch peel per detection --------------------
             eng = SpadeEngine(metric)
-            eng.bulk_load(_edge_rows(data.edges), priors=data.priors)
+            eng.bulk_load(edge_rows(data.edges), priors=data.priors)
             n, adj, a = eng.snapshot_graph()
             t0 = time.perf_counter()
             peel(n, adj, a)
@@ -124,14 +120,14 @@ def run(
 
             # --- Inc-1K batch replay ------------------------------------
             eng_b = SpadeEngine(metric)
-            eng_b.bulk_load(_edge_rows(data.initial), priors=data.priors)
+            eng_b.bulk_load(edge_rows(data.initial), priors=data.priors)
             res_b = replay(eng_b, inc, batch)
             batch_times = [d.elapsed_s for d in res_b.detections]
             mean_bt = float(np.mean(batch_times))
 
             # --- edge grouping replay -----------------------------------
             eng_g = SpadeEngine(metric)
-            eng_g.bulk_load(_edge_rows(data.initial), priors=data.priors)
+            eng_g.bulk_load(edge_rows(data.initial), priors=data.priors)
             res_g, urgent = replay_grouped(eng_g, inc, max_buffer=10 * batch)
 
             # --- latency simulation (Eq. 4, over labeled fraud edges) ---

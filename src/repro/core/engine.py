@@ -33,13 +33,19 @@ whites are emitted *in bulk* with a vectorized scan for the first
 ``G_T`` (T entries, pops, and gray recoveries), which is what makes
 per-edge maintenance orders of magnitude faster than a scratch peel.
 
-Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update plus
-vectorized ``O(n)`` scans (white-run copies and the ``Detect``
-suffix-density argmax).
+Emissions are written back in place as the frontier advances, and
+``Detect`` keeps ``f(S_j)`` and ``g(S_j)`` per slot, so an update
+re-accumulates suffix weights only over the slots its reorder rewrote.
+
+Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update, plus
+``O(span)`` sequential work over the rewritten span (white-run moves
+and the suffix-weight ``cumsum``), plus at most three ``O(n)`` SIMD
+passes for ``Detect`` (shift ``f`` ahead of the span, divide, argmax).
 """
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -85,6 +91,13 @@ class SpadeEngine:
         self._lo = 0
         self._hi = 0
         # --- detection state ----------------------------------------------
+        # Aligned with the backing arrays and valid on [_det_lo, _hi):
+        # _F[j] = f(S_j), _G[j] = g(S_j) = _F[j] / _size[j], _size[j] = _hi - j.
+        # _det_lo is None when the next Detect must rebuild them.
+        self._F = np.empty(0, dtype=np.float64)
+        self._G = np.empty(0, dtype=np.float64)
+        self._size = np.empty(0, dtype=np.float64)
+        self._det_lo: Optional[int] = None
         self._best_index = 0  # absolute slot where S^P starts
         self._best_g = 0.0
         self._community: Set[int] = set()
@@ -135,15 +148,60 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     # vertex / edge bookkeeping
     # ------------------------------------------------------------------
-    def _intern(self, ext: Hashable, prior: Optional[float]) -> Tuple[int, bool]:
-        vid = self._vid_of.get(ext)
-        if vid is not None:
-            return vid, False
+    def _weigh(
+        self,
+        edges: Sequence[EdgeLike],
+        priors: Dict[Hashable, Optional[float]],
+        edge_weights: Optional[Sequence[float]] = None,
+    ) -> Tuple[List[float], Dict[Hashable, float]]:
+        """Validate a whole batch against the current graph, mutating nothing.
+
+        Returns each edge's suspiciousness ``c`` and the vertex
+        suspiciousness of every endpoint the graph does not hold yet, in
+        first-seen order. ``c`` is ``esusp`` at the in-degree the object
+        vertex will have once this edge is in (the batch's earlier edges
+        included), matching Fraudar's weighting of the final graph when
+        edges arrive one at a time; ``edge_weights[i]`` overrides it.
+        Raises ``ValueError`` on a self-loop, a non-finite amount, or a
+        weight outside Property 3.1, so a rejected batch leaves the
+        engine untouched.
+        """
+        metric, vid_of = self.metric, self._vid_of
+        cs: List[float] = []
+        new_a: Dict[Hashable, float] = {}
+        in_deg: Dict[Hashable, int] = {}
+        for i, e in enumerate(edges):
+            src, dst, amount = e[0], e[1], float(e[2])
+            if src == dst:
+                raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
+            if not math.isfinite(amount):
+                raise ValueError(f"edge {src!r}->{dst!r}: amount {amount} is not finite")
+            if src not in vid_of and src not in new_a:
+                new_a[src] = self._vsusp(priors.get(src))
+            if dst not in vid_of and dst not in new_a:
+                new_a[dst] = self._vsusp(priors.get(dst))
+            deg = in_deg.get(dst)
+            if deg is None:
+                vid = vid_of.get(dst)
+                deg = self._in_deg[vid] if vid is not None else 0
+            in_deg[dst] = deg = deg + 1
+            if edge_weights is None:
+                c = float(metric.esusp(amount, deg))
+            else:
+                c = float(edge_weights[i])
+            metric.check(0.0, c)
+            cs.append(c)
+        return cs, new_a
+
+    def _vsusp(self, prior: Optional[float]) -> float:
+        """Validated ``a_i`` of a new vertex (``None``: the default prior)."""
+        a = float(self.metric.vsusp(self.default_prior if prior is None else prior))
+        self.metric.check(a, 1.0)
+        return a
+
+    def _intern(self, ext: Hashable, a: float) -> int:
+        """Register a new vertex with suspiciousness ``a`` (validated)."""
         vid = len(self._ext_of)
-        p = self.default_prior if prior is None else prior
-        a = float(self.metric.vsusp(p))
-        if a < 0:
-            raise ValueError(f"vsusp must be >= 0 (Property 3.1), got {a}")
         self._vid_of[ext] = vid
         self._ext_of.append(ext)
         self._adj.append({})
@@ -156,28 +214,19 @@ class SpadeEngine:
             grown[: len(self._pos)] = self._pos
             self._pos = grown
         self._pos[vid] = -1
-        return vid, True
+        return vid
 
-    def _add_edge_weight(self, u: int, v: int, c: float) -> None:
-        """Accumulate edge weight into the combined adjacency (no self-loops)."""
+    def _add_edge(self, src: Hashable, dst: Hashable, c: float) -> Tuple[int, int]:
+        """Accumulate a validated edge into the combined adjacency."""
+        u, v = self._vid_of[src], self._vid_of[dst]
         self._adj[u][v] = self._adj[u].get(v, 0.0) + c
         self._adj[v][u] = self._adj[v].get(u, 0.0) + c
         self._w0[u] += c
         self._w0[v] += c
+        self._in_deg[v] += 1
         self._f_total += c
         self._n_edges += 1
-
-    def _edge_weight(self, dst: int, amount: float) -> float:
-        """Evaluate ``esusp`` for a new edge against the *current* graph.
-
-        The object vertex's degree already includes this edge (it is
-        incremented first), matching Fraudar's weighting of the final
-        graph when edges arrive one at a time.
-        """
-        self._in_deg[dst] += 1
-        c = float(self.metric.esusp(amount, self._in_deg[dst]))
-        self.metric.check(0.0, c)
-        return c
+        return u, v
 
     # ------------------------------------------------------------------
     # bulk load + static peel (initialization path)
@@ -194,22 +243,16 @@ class SpadeEngine:
         ``edge_weights`` is given (e.g. final-graph FD weights computed
         by the Spark builder), it overrides ``esusp`` evaluation —
         otherwise weights are evaluated in arrival order exactly as
-        ``insert_edge`` would.
+        ``insert_edge`` would. The whole load is validated first: a
+        rejected load leaves the engine as it was.
         """
-        priors = priors or {}
-        for i, e in enumerate(edges):
-            src, dst, amount = e[0], e[1], float(e[2])
-            u, _ = self._intern(src, priors.get(src))
-            v, _ = self._intern(dst, priors.get(dst))
-            if u == v:
-                raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
-            if edge_weights is not None:
-                self._in_deg[v] += 1
-                c = float(edge_weights[i])
-                self.metric.check(0.0, c)
-            else:
-                c = self._edge_weight(v, amount)
-            self._add_edge_weight(u, v, c)
+        edges = edges if isinstance(edges, Sequence) else list(edges)
+        cs, new_a = self._weigh(edges, priors or {}, edge_weights)
+        for ext, a in new_a.items():
+            self._intern(ext, a)
+        for e, c in zip(edges, cs):
+            self._add_edge(e[0], e[1], c)
+        del cs, new_a  # free the validation temporaries before the peel's own peak
         self._rebuild_sequence()
 
     def _rebuild_sequence(self) -> None:
@@ -229,20 +272,54 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     # detection (the paper's Detect): argmax_i g(S_i) over the sequence
     # ------------------------------------------------------------------
-    def _refresh_detection(self) -> Set[Hashable]:
-        """Rescan suffix densities; return the *new* fraudsters (ext ids)."""
-        n = self._hi - self._lo
-        if n == 0:
+    def _refresh_detection(self, span: Optional[Tuple[int, int]] = None) -> Set[Hashable]:
+        """Update the suffix densities; return the *new* fraudsters (ext ids).
+
+        ``span = (first, end)`` is the slot range the reorder rewrote.
+        ``f(S_j)`` is the sum of ``Δ`` from slot ``j`` to ``_hi``, so slots
+        at or past ``end`` keep ``F`` and ``G``; slots before ``first``
+        keep their ``Δ`` and shift ``F`` by one constant, the change of
+        ``F[first]``; only ``[first, end)`` is re-accumulated. Slots of
+        head-inserted vertices join the span. ``None`` (a static peel or
+        an empty batch), or a front-gap regrow since the last call,
+        rebuilds every slot. The earliest slot wins a tie, as in
+        ``np.argmax`` and :func:`~repro.core.peel.best_community`.
+        """
+        lo, hi = self._lo, self._hi
+        if span is None or self._det_lo is None:
+            if len(self._F) != len(self._order):
+                self._F = np.empty(len(self._order), dtype=np.float64)
+                self._G = np.empty(len(self._order), dtype=np.float64)
+                self._size = np.empty(len(self._order), dtype=np.float64)
+            d = self._delta[lo:hi]
+            self._F[lo:hi] = self._f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
+            self._size[lo:hi] = np.arange(hi - lo, 0, -1, dtype=np.float64)
+            first, end = lo, hi
+        else:
+            F, det_lo = self._F, self._det_lo
+            first, end = span
+            if lo < det_lo:
+                self._size[lo:det_lo] = np.arange(hi - lo, hi - det_lo, -1, dtype=np.float64)
+                first, end = lo, max(end, det_lo)
+            if first >= end:
+                return set()  # no slot rewritten: F, G and S^P stand
+            old = F[first]
+            anchor = F[end] if end < hi else 0.0
+            F[first:end] = np.cumsum(self._delta[first:end][::-1])[::-1] + anchor
+            shift = F[first] - old
+            if first > lo and shift:
+                F[lo:first] += shift
+                first = lo
+        self._det_lo = lo
+        if hi == lo:
             self._best_g = 0.0
             self._community = set()
             return set()
-        d = self._delta[self._lo : self._hi]
-        f = self._f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
-        g_all = f / np.arange(n, 0, -1, dtype=np.float64)
-        i = int(np.argmax(g_all))
-        self._best_index = self._lo + i
-        self._best_g = float(g_all[i])
-        new_comm = set(map(int, self._order[self._best_index : self._hi]))
+        np.divide(self._F[first:end], self._size[first:end], out=self._G[first:end])
+        i = int(np.argmax(self._G[lo:hi]))
+        self._best_index = lo + i
+        self._best_g = float(self._G[lo + i])
+        new_comm = set(map(int, self._order[self._best_index : hi]))
         fresh = new_comm - self._community
         self._community = new_comm
         return {self._ext_of[v] for v in fresh}
@@ -268,6 +345,7 @@ class SpadeEngine:
         self._lo += shift
         self._hi += shift
         self._best_index += shift
+        self._det_lo = None  # F/G slots moved: the next Detect rebuilds them
         self._pos[self._order[self._lo : self._hi]] += shift
 
     def _insert_head(self, vid: int) -> None:
@@ -289,9 +367,15 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     # the incremental reorder (Algorithm 2; 𝒯 is the |ΔE|=1 case)
     # ------------------------------------------------------------------
-    def _reorder(self, black: Set[int]) -> None:
+    def _reorder(self, black: Set[int]) -> Optional[Tuple[int, int]]:
+        """Reorder the sequence for a batch whose endpoints are ``black``.
+
+        Returns the slot range ``(first, end)`` it rewrote, empty
+        (``first >= end``) when every emission landed in place, or None
+        for an empty batch.
+        """
         if not black:
-            return
+            return None
         order, delta, pos, adj, a = (
             self._order,
             self._delta,
@@ -306,29 +390,27 @@ class SpadeEngine:
         gray_heap: List[int] = []  # slots of gray vertices ahead of the frontier
         wT: Dict[int, float] = {}
         heap: List[Tuple[float, int]] = []
-        # Emitted output, assembled per contiguous rewritten segment as a
-        # mix of scalar events and bulk white runs (slice references).
-        segments: List[Tuple[int, List]] = []
-        parts: List = []  # ("run", s, e) | ("one", vid, delta)
-        k = black_pos[0]
-        seg_start = k
-
-        def close_segment() -> None:
-            if parts:
-                segments.append((seg_start, parts.copy()))
-                parts.clear()
+        # Emissions are written back as they happen, in order: ``out`` is
+        # the next output slot. A segment has emitted no more vertices
+        # than it has consumed (the difference is |T|), so ``out <= k``
+        # and every write lands on a slot the loop has already read;
+        # ``out == k`` exactly when T is empty, i.e. emissions are in place.
+        k = out = black_pos[0]
+        # The rewritten span [first, stop): it opens where the first vertex
+        # enters T (the next write lands there) and ends at the last write,
+        # which is always a pop: a segment closes only once T has drained.
+        first: Optional[int] = None
+        stop = end
 
         while True:
             if not wT:
                 # T empty: everything up to the next black keeps its old
                 # order in place (stored Δ are exact again — DESIGN.md).
-                close_segment()
                 while bi < len(black_pos) and black_pos[bi] < k:
                     bi += 1
                 if bi >= len(black_pos):
                     break
-                k = black_pos[bi]
-                seg_start = k
+                k = out = black_pos[bi]
             # Lazily prune stale heap entries, then peek the T head.
             while heap and (heap[0][1] not in wT or heap[0][0] != wT[heap[0][1]]):
                 heapq.heappop(heap)
@@ -348,7 +430,11 @@ class SpadeEngine:
                 # N(u_min).
                 _, vmin = heapq.heappop(heap)
                 del wT[vmin]
-                parts.append(("one", vmin, dmin))
+                order[out] = vmin
+                delta[out] = dmin
+                pos[vmin] = out
+                out += 1
+                stop = out
                 nbrs = adj[vmin]
                 if len(wT) < len(nbrs):
                     for u in list(wT):
@@ -388,9 +474,15 @@ class SpadeEngine:
                     # cascade to the genuinely affected area: a dense
                     # community's halo would otherwise be re-peeled on
                     # every nearby insertion.
-                    parts.append(("one", vk, dk))
+                    if out != k:
+                        order[out] = vk
+                        delta[out] = dk
+                        pos[vk] = out
+                    out += 1
                     k += 1
                     continue
+                if first is None:
+                    first = k
                 wT[vk] = w
                 heapq.heappush(heap, (w, vk))
                 # Color only pending neighbors ahead of the frontier gray
@@ -416,29 +508,14 @@ class SpadeEngine:
             else:
                 exceed = np.flatnonzero(delta[k + 1 : limit] >= dmin)
                 event = (k + 1 + int(exceed[0])) if len(exceed) else limit
-            parts.append(("run", k, event))
+            if out != k:
+                m = event - k
+                order[out : out + m] = order[k:event]
+                delta[out : out + m] = delta[k:event]
+                pos[order[out : out + m]] = np.arange(out, out + m, dtype=np.int64)
+            out += event - k
             k = event
-        close_segment()
-
-        # Write the rewritten segments back (vectorized per segment).
-        for start, segment in segments:
-            vs: List[np.ndarray] = []
-            ds: List[np.ndarray] = []
-            for p in segment:
-                if p[0] == "run":
-                    _, s, e = p
-                    vs.append(order[s:e].copy())
-                    ds.append(delta[s:e].copy())
-                else:
-                    _, vid, d = p
-                    vs.append(np.array([vid], dtype=np.int64))
-                    ds.append(np.array([d], dtype=np.float64))
-            seg_v = np.concatenate(vs)
-            seg_d = np.concatenate(ds)
-            stop = start + len(seg_v)
-            order[start:stop] = seg_v
-            delta[start:stop] = seg_d
-            pos[seg_v] = np.arange(start, stop, dtype=np.int64)
+        return (first, stop) if first is not None else (end, end)
 
     # ------------------------------------------------------------------
     # public update APIs (paper Listing 1)
@@ -461,25 +538,18 @@ class SpadeEngine:
         edges: Sequence[EdgeLike],
         priors: Optional[Dict[Hashable, Optional[float]]] = None,
     ) -> Set[Hashable]:
-        """InsertBatchEdges: apply ``ΔE`` and reorder once (Algorithm 2)."""
-        priors = priors or {}
+        """InsertBatchEdges: apply ``ΔE`` and reorder once (Algorithm 2).
+
+        The batch is validated as a whole first: a rejected batch raises
+        ``ValueError`` and leaves the engine untouched.
+        """
+        cs, new_a = self._weigh(edges, priors or {})
+        for ext, a in new_a.items():
+            self._insert_head(self._intern(ext, a))
         black: Set[int] = set()
-        for e in edges:
-            src, dst, amount = e[0], e[1], float(e[2])
-            u, new_u = self._intern(src, priors.get(src))
-            if new_u:
-                self._insert_head(u)
-            v, new_v = self._intern(dst, priors.get(dst))
-            if new_v:
-                self._insert_head(v)
-            if u == v:
-                raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
-            c = self._edge_weight(v, amount)
-            self._add_edge_weight(u, v, c)
-            black.add(u)
-            black.add(v)
-        self._reorder(black)
-        return self._refresh_detection()
+        for e, c in zip(edges, cs):
+            black.update(self._add_edge(e[0], e[1], c))
+        return self._refresh_detection(self._reorder(black))
 
     # ------------------------------------------------------------------
     # edge grouping (§4.3)
@@ -518,7 +588,10 @@ class SpadeEngine:
         optional ``max_buffer`` bounds the buffer so purely-benign
         streams still flush periodically (the paper's buffer is flushed
         by urgent edges; Table 5's grouping rows accumulate >1K edges).
+        The edge is validated on arrival, so a buffered edge cannot make
+        a later flush reject the whole buffer.
         """
+        self._weigh([(src, dst, amount)], {})
         if self.is_benign(src, dst, amount):
             self._benign_buffer.append((src, dst, amount))
             if max_buffer is not None and len(self._benign_buffer) >= max_buffer:

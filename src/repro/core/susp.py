@@ -42,14 +42,14 @@ class Metric:
     esusp: Callable[[float, int], float]
 
     def check(self, a: float, c: float) -> None:
-        """Enforce Property 3.1: ``a_i >= 0`` and ``c_ij > 0``."""
-        if a < 0:
+        """Enforce Property 3.1: finite ``a_i >= 0`` and finite ``c_ij > 0``."""
+        if not 0 <= a < math.inf:
             raise ValueError(
-                f"metric {self.name}: vertex suspiciousness must be >= 0, got {a}"
+                f"metric {self.name}: vertex suspiciousness must be finite and >= 0, got {a}"
             )
-        if not c > 0:
+        if not 0 < c < math.inf:
             raise ValueError(
-                f"metric {self.name}: edge suspiciousness must be > 0, got {c}"
+                f"metric {self.name}: edge suspiciousness must be finite and > 0, got {c}"
             )
 
 

@@ -8,7 +8,7 @@ configurations of Table 3 (Grab1-4 at 1:100 scale, Amazon/Wiki-vote at
 published scale, Epinion at 1:10); `stats.py` computes Table 3's
 statistics with Spark aggregations.
 """
-from repro.datasets.generator import GraphData, transaction_graph
+from repro.datasets.generator import GraphData, edge_rows, transaction_graph
 from repro.datasets.presets import PRESETS, load_preset
 
-__all__ = ["GraphData", "transaction_graph", "PRESETS", "load_preset"]
+__all__ = ["GraphData", "edge_rows", "transaction_graph", "PRESETS", "load_preset"]

@@ -36,11 +36,20 @@ inside fraud blocks. Everything is deterministic in ``seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+
+
+def edge_rows(df: pd.DataFrame) -> List[Tuple]:
+    """The ``(src, dst, amount)`` tuples of an edge table, in row order.
+
+    This is the row format every :class:`~repro.core.SpadeEngine` update
+    takes.
+    """
+    return list(df[["src", "dst", "amount"]].itertuples(index=False, name=None))
 
 
 @dataclass

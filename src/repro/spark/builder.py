@@ -25,6 +25,7 @@ from pyspark.sql import functions as F
 
 from repro.core.engine import SpadeEngine
 from repro.core.susp import FD_LOG_C, Metric
+from repro.datasets import edge_rows
 
 
 def vertex_ids(edges: DataFrame) -> DataFrame:
@@ -111,7 +112,7 @@ def build_engine(
         pdf = wdf.select(*cols, "weight").toPandas()
         eng = SpadeEngine(metric)
         eng.bulk_load(
-            list(pdf[cols].itertuples(index=False, name=None)),
+            edge_rows(pdf),
             priors=priors,
             edge_weights=pdf["weight"].to_numpy(),
         )
@@ -119,5 +120,5 @@ def build_engine(
     df = edges.orderBy(order_col) if order_col else edges
     pdf = df.select(*cols).toPandas()
     eng = SpadeEngine(metric)
-    eng.bulk_load(list(pdf.itertuples(index=False, name=None)), priors=priors)
+    eng.bulk_load(edge_rows(pdf), priors=priors)
     return eng

@@ -27,6 +27,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.engine import SpadeEngine
+from repro.datasets import edge_rows
 
 STREAM_SCHEMA = (
     "src LONG, dst LONG, amount DOUBLE, ts DOUBLE, is_fraud BOOLEAN, block LONG"
@@ -112,9 +113,7 @@ def run_stream(
         if pdf.empty:
             return
         t0 = time.perf_counter()
-        fresh = engine.insert_batch(
-            list(pdf[["src", "dst", "amount"]].itertuples(index=False, name=None))
-        )
+        fresh = engine.insert_batch(edge_rows(pdf))
         dt = time.perf_counter() - t0
         result.detections.append(
             BatchDetection(
@@ -150,7 +149,7 @@ def replay(
 ) -> ReplayResult:
     """Timestamp-ordered in-process replay with per-batch timing."""
     inc = increments.sort_values("ts", kind="mergesort")
-    rows = list(inc[["src", "dst", "amount"]].itertuples(index=False, name=None))
+    rows = edge_rows(inc)
     ts = inc["ts"].to_numpy()
     result = ReplayResult()
     for bid, s in enumerate(range(0, len(rows), batch_size)):
@@ -183,7 +182,7 @@ def replay_grouped(
     The per-"batch" detection entries correspond to flushes.
     """
     inc = increments.sort_values("ts", kind="mergesort")
-    rows = list(inc[["src", "dst", "amount"]].itertuples(index=False, name=None))
+    rows = edge_rows(inc)
     ts = inc["ts"].to_numpy()
     result = ReplayResult()
     urgent = np.zeros(len(rows), dtype=bool)

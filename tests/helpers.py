@@ -29,7 +29,8 @@ def random_edges(
 
 def assert_engine_valid(eng: SpadeEngine) -> None:
     """The engine's maintained sequence is a valid greedy peel and its
-    detection state is consistent with that sequence.
+    detection state, including the cached per-slot densities ``G``, is
+    consistent with that sequence.
 
     The community check asserts the detected suffix *achieves* the
     maximum suffix density rather than matching one canonical argmax:
@@ -57,6 +58,10 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     i_eng = n - len(comm)
     assert set(order[i_eng:]) == comm, "community is not a sequence suffix"
     assert g_all[i_eng] >= g_max - tol, "community does not achieve max density"
+    G = eng._G[eng._lo : eng._hi]
+    assert np.all(np.abs(G - g_all) <= 1e-9 * np.maximum(1.0, np.abs(g_all))), (
+        "cached suffix densities drifted from a fresh computation"
+    )
 
 
 def brute_force_best_density(

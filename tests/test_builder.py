@@ -7,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core import DW, FD, SpadeEngine
 from repro.core.susp import FD_LOG_C
-from repro.datasets import load_preset
+from repro.datasets import edge_rows, load_preset
 from repro.oracle import assert_equivalent
 from repro.spark import builder
 
@@ -101,14 +101,7 @@ class TestBuildEngine:
     def test_engine_matches_pandas_path(self, spark, data, edges):
         eng_spark = builder.build_engine(spark, edges, DW, priors=data.priors)
         eng_pd = SpadeEngine(DW)
-        eng_pd.bulk_load(
-            list(
-                data.edges.sort_values("ts")[["src", "dst", "amount"]].itertuples(
-                    index=False, name=None
-                )
-            ),
-            priors=data.priors,
-        )
+        eng_pd.bulk_load(edge_rows(data.edges.sort_values("ts")), priors=data.priors)
         assert eng_spark.n_edges == eng_pd.n_edges
         assert eng_spark.f_total == pytest.approx(eng_pd.f_total)
         assert eng_spark.best_density == pytest.approx(eng_pd.best_density)

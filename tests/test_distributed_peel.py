@@ -5,7 +5,7 @@ from pyspark.sql import functions as F
 
 from repro.core import DG, SpadeEngine
 from repro.core.peel import peel
-from repro.datasets import load_preset
+from repro.datasets import edge_rows, load_preset
 from repro.oracle import assert_equivalent
 from repro.spark.builder import edge_weights
 from repro.spark.distributed_peel import distributed_peel
@@ -13,9 +13,7 @@ from repro.spark.distributed_peel import distributed_peel
 
 def _exact_density(edges_pdf, metric=DG):
     eng = SpadeEngine(metric)
-    eng.bulk_load(
-        list(edges_pdf[["src", "dst", "amount"]].itertuples(index=False, name=None))
-    )
+    eng.bulk_load(edge_rows(edges_pdf))
     n, adj, a = eng.snapshot_graph()
     return peel(n, adj, a).best_density
 

@@ -69,12 +69,10 @@ def test_batch_with_only_new_vertices():
 
 def test_large_batch_on_preset_sample():
     """A realistic 2K-edge batch on a preset-scale graph stays exact."""
-    from repro.datasets import load_preset
+    from repro.datasets import edge_rows, load_preset
 
     data = load_preset("grab1_lite", scale=0.05)
-    rows = list(
-        data.edges[["src", "dst", "amount"]].itertuples(index=False, name=None)
-    )
+    rows = edge_rows(data.edges)
     eng = SpadeEngine(DG)
     eng.bulk_load(rows[:3000], priors=data.priors)
     eng.insert_batch(rows[3000:5000])

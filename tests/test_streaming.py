@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import DW, SpadeEngine
-from repro.datasets import load_preset
+from repro.datasets import edge_rows, load_preset
 from repro.spark.streaming import (
     replay,
     replay_grouped,
@@ -19,10 +19,7 @@ def data():
 
 def _fresh_engine(data):
     eng = SpadeEngine(DW)
-    eng.bulk_load(
-        list(data.initial[["src", "dst", "amount"]].itertuples(index=False, name=None)),
-        priors=data.priors,
-    )
+    eng.bulk_load(edge_rows(data.initial), priors=data.priors)
     return eng
 
 
@@ -60,12 +57,7 @@ class TestStructuredStreaming:
 
         # ...and as a from-scratch build over the full edge log.
         eng_scratch = SpadeEngine(DW)
-        eng_scratch.bulk_load(
-            list(
-                data.edges[["src", "dst", "amount"]].itertuples(index=False, name=None)
-            ),
-            priors=data.priors,
-        )
+        eng_scratch.bulk_load(edge_rows(data.edges), priors=data.priors)
         assert eng_stream.best_density == pytest.approx(eng_scratch.best_density)
         assert eng_stream.community_external() == eng_scratch.community_external()
         assert_engine_valid(eng_stream)

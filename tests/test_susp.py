@@ -57,7 +57,12 @@ class TestProperty31:
         with pytest.raises(ValueError, match=">= 0"):
             DG.check(-0.1, 1.0)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0])
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_nonfinite_vertex_susp_rejected(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            DG.check(a, 1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_edge_susp_rejected(self, c):
         with pytest.raises(ValueError, match="> 0"):
             DG.check(0.0, c)
