@@ -162,10 +162,15 @@ class SpadeEngine:
         vertex will have once this edge is in (the batch's earlier edges
         included), matching Fraudar's weighting of the final graph when
         edges arrive one at a time; ``edge_weights[i]`` overrides it.
-        Raises ``ValueError`` on a self-loop, a non-finite amount, or a
-        weight outside Property 3.1, so a rejected batch leaves the
-        engine untouched.
+        Raises ``ValueError`` on an ``edge_weights`` whose length differs
+        from the batch's, a self-loop, a non-finite amount, or a weight
+        outside Property 3.1, so a rejected batch leaves the engine
+        untouched.
         """
+        if edge_weights is not None and len(edge_weights) != len(edges):
+            raise ValueError(
+                f"{len(edge_weights)} edge weights given for {len(edges)} edges"
+            )
         metric, vid_of = self.metric, self._vid_of
         cs: List[float] = []
         new_a: Dict[Hashable, float] = {}

@@ -1,8 +1,9 @@
 """Table 3 statistics computed with Spark aggregations.
 
-``dataset_stats`` produces one row per dataset with |V|, |E|, average
-degree and the increment count (the 10 % tail). The paper's Table 3
-reports ``2|E|/|V|`` (each edge contributes to both endpoints' degree:
+``stats_row`` produces one row per dataset with |V|, |E|, average
+degree, the increment count (the 10 % tail) and the fraud-edge count.
+The paper's Table 3 reports ``2|E|/|V|`` (each edge contributes to both
+endpoints' degree:
 Grab1 has 10M/3.991M ≈ 2.5 edges per vertex but an "avg. degree" of
 5.011), so the same convention is used here.
 Each aggregate is a plain Spark SQL expression so tests can oracle-check
@@ -10,7 +11,6 @@ it against DuckDB.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -40,7 +40,3 @@ def stats_row(spark: SparkSession, data: GraphData) -> dict:
         "fraud_edges": int(data.edges["is_fraud"].sum()),
     }
 
-
-def dataset_stats(spark: SparkSession, datasets: list) -> pd.DataFrame:
-    """Table 3 for a list of :class:`GraphData` instances."""
-    return pd.DataFrame([stats_row(spark, d) for d in datasets])

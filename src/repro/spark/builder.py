@@ -1,10 +1,8 @@
 """Graph construction as Spark DataFrame transformations (Fig. 1 pipeline).
 
 The transaction log is a DataFrame ``(src, dst, amount, ts, ...)``;
-this module derives the graph artifacts the engine and the distributed
-peel need:
+this module derives the graph artifacts the engine needs:
 
-* ``vertex_ids``   — dense 0..n-1 vertex index (deterministic order);
 * ``degrees``      — per-vertex out/in degree;
 * ``edge_weights`` — per-edge suspiciousness ``c_ij`` under DG/DW/FD,
   FD weighting each edge by the *final-graph* in-degree of its object
@@ -20,28 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.engine import SpadeEngine
 from repro.core.susp import FD_LOG_C, Metric
 from repro.datasets import edge_rows
-
-
-def vertex_ids(edges: DataFrame) -> DataFrame:
-    """Dense vertex index ``(v, vid)`` with vid in 0..n-1, ordered by v.
-
-    A window ``row_number`` over the sorted distinct vertices keeps the
-    assignment deterministic (monotonically_increasing_id would not be
-    dense nor stable across partitionings).
-    """
-    verts = (
-        edges.select(F.col("src").alias("v"))
-        .union(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
-    w = Window.orderBy("v")
-    return verts.select("v", (F.row_number().over(w) - 1).alias("vid"))
 
 
 def degrees(edges: DataFrame) -> DataFrame:

@@ -1,19 +1,23 @@
 """Evolving-graph ingestion: Structured Streaming micro-batches + replay.
 
-Two paths feed graph updates into a :class:`SpadeEngine`:
+Three drivers feed graph updates into a :class:`SpadeEngine`, and every
+applied batch goes through one apply-and-record path (``_apply`` times
+``engine.insert_batch``; ``_record`` appends the :class:`BatchDetection`):
 
-* :func:`run_stream` — the production-shaped path (and the shape the
-  reproduction band asks for): the increment log is laid out as one
-  parquet file per micro-batch, a file-source stream reads it with
-  ``maxFilesPerTrigger=1`` under ``Trigger.AvailableNow``, and
-  ``foreachBatch`` applies each micro-batch (sorted by timestamp) to
-  the driver-resident engine, recording the detection after every
-  batch. Deterministic: same files, same batches, same end state.
+* :func:`run_stream` — the production-shaped path: the increment log is
+  laid out as one parquet file per micro-batch, a file-source stream
+  reads it with ``maxFilesPerTrigger=1`` under ``Trigger.AvailableNow``,
+  and ``foreachBatch`` applies each micro-batch (sorted by timestamp) to
+  the driver-resident engine. Deterministic: same files, same batches,
+  same end state.
 
 * :func:`replay` — the measurement path used by the Table 4/5
-  harnesses: an in-process timestamp-ordered replay with per-batch
-  wall-clock timing, free of streaming-source overhead (the paper times
-  the engine, not the transport).
+  harnesses: an in-process timestamp-ordered replay in fixed-size
+  batches, free of streaming-source overhead (the paper times the
+  engine, not the transport).
+
+* :func:`replay_grouped` — the edge-grouping replay (§4.3): each edge
+  goes through ``insert_grouped`` and every buffer flush is recorded.
 """
 from __future__ import annotations
 
@@ -66,12 +70,44 @@ class ReplayResult:
         e = self.total_edges
         return 1e6 * self.total_elapsed_s / e if e else 0.0
 
-    def first_detection_of(self, vertices: Set) -> Optional[BatchDetection]:
-        """First batch whose new fraudsters intersect ``vertices``."""
-        for d in self.detections:
-            if d.new_fraudsters & vertices:
-                return d
-        return None
+
+def _record(
+    result: ReplayResult,
+    engine: SpadeEngine,
+    n_edges: int,
+    elapsed_s: float,
+    fresh: Set,
+    last_ts: float,
+    batch_id: Optional[int] = None,
+) -> None:
+    """Append the detection after one applied batch.
+
+    ``batch_id`` defaults to the batch's position in ``result``.
+    """
+    result.detections.append(
+        BatchDetection(
+            batch_id=len(result.detections) if batch_id is None else int(batch_id),
+            n_edges=n_edges,
+            elapsed_s=elapsed_s,
+            new_fraudsters=fresh,
+            density=engine.best_density,
+            last_ts=float(last_ts),
+        )
+    )
+
+
+def _apply(
+    result: ReplayResult,
+    engine: SpadeEngine,
+    rows: list,
+    last_ts: float,
+    batch_id: Optional[int] = None,
+) -> None:
+    """Insert ``rows`` as one timed batch and record its detection."""
+    t0 = time.perf_counter()
+    fresh = engine.insert_batch(rows)
+    elapsed_s = time.perf_counter() - t0
+    _record(result, engine, len(rows), elapsed_s, fresh, last_ts, batch_id)
 
 
 def write_increment_files(
@@ -112,19 +148,7 @@ def run_stream(
         pdf = batch_df.orderBy("ts").toPandas()
         if pdf.empty:
             return
-        t0 = time.perf_counter()
-        fresh = engine.insert_batch(edge_rows(pdf))
-        dt = time.perf_counter() - t0
-        result.detections.append(
-            BatchDetection(
-                batch_id=int(batch_id),
-                n_edges=len(pdf),
-                elapsed_s=dt,
-                new_fraudsters=fresh,
-                density=engine.best_density,
-                last_ts=float(pdf["ts"].iloc[-1]),
-            )
-        )
+        _apply(result, engine, edge_rows(pdf), pdf["ts"].iloc[-1], batch_id)
 
     stream = (
         spark.readStream.schema(STREAM_SCHEMA)
@@ -152,21 +176,9 @@ def replay(
     rows = edge_rows(inc)
     ts = inc["ts"].to_numpy()
     result = ReplayResult()
-    for bid, s in enumerate(range(0, len(rows), batch_size)):
+    for s in range(0, len(rows), batch_size):
         chunk = rows[s : s + batch_size]
-        t0 = time.perf_counter()
-        fresh = engine.insert_batch(chunk)
-        dt = time.perf_counter() - t0
-        result.detections.append(
-            BatchDetection(
-                batch_id=bid,
-                n_edges=len(chunk),
-                elapsed_s=dt,
-                new_fraudsters=fresh,
-                density=engine.best_density,
-                last_ts=float(ts[min(s + len(chunk), len(ts)) - 1]),
-            )
-        )
+        _apply(result, engine, chunk, ts[s + len(chunk) - 1])
     return result
 
 
@@ -179,7 +191,9 @@ def replay_grouped(
 
     Each urgent edge (Definition 4.1) flushes the benign buffer through
     one batch reorder; benign edges cost only the O(1) classification.
-    The per-"batch" detection entries correspond to flushes.
+    The per-"batch" detection entries correspond to flushes. The urgent
+    flag is computed outside the timed region, so each edge's
+    classification is timed once, inside ``insert_grouped``.
     """
     inc = increments.sort_values("ts", kind="mergesort")
     rows = edge_rows(inc)
@@ -189,37 +203,20 @@ def replay_grouped(
     pending_since = 0
     acc_dt = 0.0  # classification + buffering cost since the last flush
     for i, (src, dst, amount) in enumerate(rows):
-        t0 = time.perf_counter()
         urgent[i] = not engine.is_benign(src, dst, amount)
+        t0 = time.perf_counter()
         fresh = engine.insert_grouped(src, dst, amount, max_buffer=max_buffer)
         acc_dt += time.perf_counter() - t0
         # A benign edge always lands in the buffer, so an empty buffer
         # after the call means this step flushed (urgent or cap hit).
         if engine.buffered_edges == 0:
-            result.detections.append(
-                BatchDetection(
-                    batch_id=len(result.detections),
-                    n_edges=i - pending_since + 1,
-                    elapsed_s=acc_dt,
-                    new_fraudsters=fresh,
-                    density=engine.best_density,
-                    last_ts=float(ts[i]),
-                )
-            )
+            _record(result, engine, i - pending_since + 1, acc_dt, fresh, ts[i])
             pending_since = i + 1
             acc_dt = 0.0
     if engine.buffered_edges:
         t0 = time.perf_counter()
         fresh = engine.flush_buffer()
         acc_dt += time.perf_counter() - t0
-        result.detections.append(
-            BatchDetection(
-                batch_id=len(result.detections),
-                n_edges=len(rows) - pending_since,
-                elapsed_s=acc_dt,
-                new_fraudsters=fresh,
-                density=engine.best_density,
-                last_ts=float(ts[-1]) if len(ts) else 0.0,
-            )
-        )
+        last_ts = ts[-1] if len(ts) else 0.0
+        _record(result, engine, len(rows) - pending_since, acc_dt, fresh, last_ts)
     return result, urgent

@@ -22,27 +22,6 @@ def edges(spark, data):
     return data.to_spark(spark).cache()
 
 
-class TestVertexIds:
-    def test_dense_and_deterministic(self, spark, edges):
-        ids = builder.vertex_ids(edges).toPandas().sort_values("vid")
-        n = len(ids)
-        assert list(ids["vid"]) == list(range(n))
-        # Deterministic: vid order equals sorted vertex order.
-        assert list(ids["v"]) == sorted(ids["v"])
-
-    def test_matches_duckdb_row_number(self, spark, edges):
-        got = builder.vertex_ids(edges)
-        assert_equivalent(
-            got,
-            """
-            SELECT v, ROW_NUMBER() OVER (ORDER BY v) - 1 AS vid
-            FROM (SELECT DISTINCT src AS v FROM e
-                  UNION SELECT DISTINCT dst AS v FROM e)
-            """,
-            e=edges,
-        )
-
-
 class TestDegrees:
     def test_matches_duckdb(self, spark, edges):
         got = builder.degrees(edges)

@@ -2,8 +2,10 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.datasets import PRESETS, load_preset, transaction_graph
+from repro.oracle import assert_equivalent
 
 ALL_PRESETS = sorted(PRESETS)
 
@@ -144,3 +146,23 @@ class TestPresets:
     def test_unknown_preset_raises(self):
         with pytest.raises(KeyError):
             load_preset("grab99")
+
+
+class TestFraudLabels:
+    def test_labels_consistent(self, small_presets):
+        """``is_fraud`` holds exactly on the planted blocks' edges."""
+        for d in small_presets.values():
+            assert (d.edges["is_fraud"] == (d.edges["block"] >= 0)).all(), d.name
+
+    def test_fraud_aggregation_matches_duckdb(self, spark, small_presets):
+        tx = small_presets["grab1_lite"].to_spark(spark)
+        got = tx.groupBy("is_fraud").agg(
+            F.count(F.lit(1)).alias("n"),
+            F.round(F.sum("amount"), 2).alias("total"),
+        )
+        assert_equivalent(
+            got,
+            "SELECT is_fraud, COUNT(*) AS n, ROUND(SUM(amount), 2) AS total "
+            "FROM tx GROUP BY is_fraud",
+            tx=tx,
+        )

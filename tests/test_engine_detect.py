@@ -188,6 +188,10 @@ class TestAtomicRejection:
         with pytest.raises(ValueError, match="finite"):
             eng.bulk_load([("x", "y", 1.0), ("y", "z", 1.0)], edge_weights=[1.0, math.inf])
         assert _state(eng) == before
+        for weights in ([1.0, 1.0, 1.0], [1.0]):  # one too many, one too few
+            with pytest.raises(ValueError, match="edge weights given for 2 edges"):
+                eng.bulk_load([("x", "y", 1.0), ("y", "z", 1.0)], edge_weights=weights)
+            assert _state(eng) == before
         assert_engine_valid(eng)
 
     def test_grouped_edge_rejected_on_arrival(self):

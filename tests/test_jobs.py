@@ -2,7 +2,11 @@
 import sys
 from pathlib import Path
 
+import duckdb
 import pytest
+
+from repro.datasets import load_preset
+from repro.datasets.stats import stats_row
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -20,6 +24,24 @@ class TestTable3:
         # avg degree is 2|E|/|V| (paper's Table 3 convention)
         row = df.iloc[0]
         assert row["avg_degree"] == pytest.approx(2 * row["E"] / row["V"], abs=0.01)
+
+    def test_stats_row_matches_duckdb(self, spark):
+        data = load_preset("amazon_lite", scale=0.03)
+        row = stats_row(spark, data)
+        con = duckdb.connect()
+        try:
+            con.register("e", data.edges)
+            want = con.execute(
+                """
+                SELECT (SELECT COUNT(*) FROM (SELECT src AS v FROM e
+                                              UNION SELECT dst FROM e)),
+                       COUNT(*), SUM(CAST(is_fraud AS INTEGER))
+                FROM e
+                """
+            ).fetchone()
+        finally:
+            con.close()
+        assert (row["V"], row["E"], row["fraud_edges"]) == want
 
 
 class TestTable4:

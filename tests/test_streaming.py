@@ -49,9 +49,19 @@ class TestStructuredStreaming:
         )
         assert result.total_edges == len(data.increments)
 
-        # Same end state as the in-process replay...
+        # Same batches as the in-process replay (the increments have
+        # unique timestamps, so equal-size batches match the files)...
+        assert len(data.increments) % n_files == 0
         eng_replay = _fresh_engine(data)
-        replay(eng_replay, data.increments, batch_size=len(data.increments) // n_files + 1)
+        replayed = replay(
+            eng_replay, data.increments, batch_size=len(data.increments) // n_files
+        )
+        assert len(replayed.detections) == n_files
+        for got, want in zip(result.detections, replayed.detections):
+            assert got.n_edges == want.n_edges
+            assert got.last_ts == want.last_ts
+            assert got.new_fraudsters == want.new_fraudsters
+            assert got.density == want.density
         assert eng_stream.n_edges == eng_replay.n_edges
         assert eng_stream.f_total == pytest.approx(eng_replay.f_total)
 
@@ -76,18 +86,6 @@ class TestReplay:
         res = replay(eng, data.increments, batch_size=200)
         ts = [d.last_ts for d in res.detections]
         assert ts == sorted(ts)
-
-    def test_first_detection_of(self, data):
-        eng = _fresh_engine(data)
-        res = replay(eng, data.increments, batch_size=100)
-        everyone = set()
-        for d in res.detections:
-            everyone |= d.new_fraudsters
-        if everyone:
-            one = next(iter(everyone))
-            hit = res.first_detection_of({one})
-            assert hit is not None and one in hit.new_fraudsters
-        assert res.first_detection_of({"no-such-vertex"}) is None
 
     def test_replay_grouped_flags_and_flushes(self, data):
         eng = _fresh_engine(data)
