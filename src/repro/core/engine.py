@@ -163,9 +163,9 @@ class SpadeEngine:
         included), matching Fraudar's weighting of the final graph when
         edges arrive one at a time; ``edge_weights[i]`` overrides it.
         Raises ``ValueError`` on an ``edge_weights`` whose length differs
-        from the batch's, a self-loop, a non-finite amount, or a weight
-        outside Property 3.1, so a rejected batch leaves the engine
-        untouched.
+        from the batch's, a ``None`` or NaN endpoint, a self-loop, a
+        non-finite amount, or a weight outside Property 3.1, so a
+        rejected batch leaves the engine untouched.
         """
         if edge_weights is not None and len(edge_weights) != len(edges):
             raise ValueError(
@@ -177,6 +177,8 @@ class SpadeEngine:
         in_deg: Dict[Hashable, int] = {}
         for i, e in enumerate(edges):
             src, dst, amount = e[0], e[1], float(e[2])
+            if src is None or dst is None or src != src or dst != dst:
+                raise ValueError(f"edge {src!r}->{dst!r}: vertex id is None or NaN")
             if src == dst:
                 raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
             if not math.isfinite(amount):

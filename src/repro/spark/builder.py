@@ -9,21 +9,24 @@ this module derives the graph artifacts the engine needs:
   vertex (``1/log(indeg+5)``), computed with a join against the degree
   table — the exact static-Fraudar semantics;
 * ``build_engine`` — bootstrap a ``SpadeEngine`` from the initial 90 %
-  of the log, shipping the weighted edge list to the driver via Arrow.
+  of the log, shipping the edge list to the driver via Arrow;
+* ``collect_edges`` — the Spark→engine hand-off of ``build_engine`` and
+  ``run_stream``: Arrow transfer, then a stable ``ts`` sort on the
+  driver instead of a Spark-side sort (no sampling job, no shuffle).
 
-Every function returns a DataFrame with stable column aliases so tests
-can oracle-check it against the equivalent DuckDB SQL.
+The DataFrame-valued functions keep stable column aliases so tests can
+oracle-check them against the equivalent DuckDB SQL.
 """
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.engine import SpadeEngine
 from repro.core.susp import FD_LOG_C, Metric
-from repro.datasets import edge_rows
 
 
 def degrees(edges: DataFrame) -> DataFrame:
@@ -70,6 +73,27 @@ def edge_weights(edges: DataFrame, metric_name: str) -> DataFrame:
     raise KeyError(f"unknown metric {metric_name!r}")
 
 
+def collect_edges(
+    df: DataFrame, *extra: str
+) -> Tuple[List[tuple], Dict[str, np.ndarray]]:
+    """Ship ``(src, dst, amount)`` rows to the driver in timestamp order.
+
+    Collects ``src, dst, amount``, the ``extra`` columns and ``ts`` (if
+    present) with ``DataFrame.toArrow()`` and orders them by a stable
+    ``argsort`` of ``ts``: tied timestamps keep partition/file order.
+    Returns the row tuples (the values ``edge_rows`` yields) and each
+    collected column as a numpy array in the same order.
+    """
+    names = ["src", "dst", "amount", *extra] + (["ts"] if "ts" in df.columns else [])
+    table = df.select(*names).toArrow()
+    cols = {c: table.column(c).to_numpy() for c in names}
+    if "ts" in cols:
+        order = np.argsort(cols["ts"], kind="stable")
+        cols = {c: a[order] for c, a in cols.items()}
+    rows = list(zip(cols["src"].tolist(), cols["dst"].tolist(), cols["amount"].tolist()))
+    return rows, cols
+
+
 def build_engine(
     spark: SparkSession,
     edges: DataFrame,
@@ -85,22 +109,10 @@ def build_engine(
     :func:`edge_weights` is shipped instead — useful when comparing
     against the standalone static Fraudar baseline.
     """
-    cols = ["src", "dst", "amount"]
-    order_col = "ts" if "ts" in edges.columns else None
-    if use_final_graph_weights:
-        wdf = edge_weights(edges, metric.name)
-        if order_col:
-            wdf = wdf.orderBy(order_col)
-        pdf = wdf.select(*cols, "weight").toPandas()
-        eng = SpadeEngine(metric)
-        eng.bulk_load(
-            edge_rows(pdf),
-            priors=priors,
-            edge_weights=pdf["weight"].to_numpy(),
-        )
-        return eng
-    df = edges.orderBy(order_col) if order_col else edges
-    pdf = df.select(*cols).toPandas()
     eng = SpadeEngine(metric)
-    eng.bulk_load(edge_rows(pdf), priors=priors)
+    if use_final_graph_weights:
+        rows, cols = collect_edges(edge_weights(edges, metric.name), "weight")
+        eng.bulk_load(rows, priors=priors, edge_weights=cols["weight"])
+    else:
+        eng.bulk_load(collect_edges(edges)[0], priors=priors)
     return eng

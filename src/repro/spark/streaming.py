@@ -7,9 +7,10 @@ applied batch goes through one apply-and-record path (``_apply`` times
 * :func:`run_stream` — the production-shaped path: the increment log is
   laid out as one parquet file per micro-batch, a file-source stream
   reads it with ``maxFilesPerTrigger=1`` under ``Trigger.AvailableNow``,
-  and ``foreachBatch`` applies each micro-batch (sorted by timestamp) to
-  the driver-resident engine. Deterministic: same files, same batches,
-  same end state.
+  and ``foreachBatch`` ships each micro-batch to the driver through
+  Arrow (``builder.collect_edges``), sorts it by timestamp there — tied
+  timestamps keep file order — and applies it to the driver-resident
+  engine. Deterministic: same files, same batches, same end state.
 
 * :func:`replay` — the measurement path used by the Table 4/5
   harnesses: an in-process timestamp-ordered replay in fixed-size
@@ -32,6 +33,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.engine import SpadeEngine
 from repro.datasets import edge_rows
+from repro.spark.builder import collect_edges
 
 STREAM_SCHEMA = (
     "src LONG, dst LONG, amount DOUBLE, ts DOUBLE, is_fraud BOOLEAN, block LONG"
@@ -40,7 +42,12 @@ STREAM_SCHEMA = (
 
 @dataclass
 class BatchDetection:
-    """Outcome of applying one micro-batch/batch to the engine."""
+    """Outcome of applying one micro-batch/batch to the engine.
+
+    ``elapsed_s`` is engine time only. ``collect_s`` is the time a
+    streamed micro-batch took to reach the engine as rows (Spark job,
+    Arrow transfer, driver sort, row build); 0 for the replays.
+    """
 
     batch_id: int
     n_edges: int
@@ -48,6 +55,7 @@ class BatchDetection:
     new_fraudsters: Set
     density: float
     last_ts: float
+    collect_s: float = 0.0
 
 
 @dataclass
@@ -140,15 +148,20 @@ def run_stream(
 
     Processes every already-written file (``Trigger.AvailableNow``) one
     file per micro-batch, applying each to ``engine`` inside
-    ``foreachBatch`` and collecting per-batch detections.
+    ``foreachBatch`` and collecting per-batch detections. Each
+    micro-batch reaches the driver through Arrow unsorted and is sorted
+    by ``ts`` there; tied timestamps keep their order in the file.
     """
     result = ReplayResult()
 
     def handle(batch_df, batch_id: int) -> None:
-        pdf = batch_df.orderBy("ts").toPandas()
-        if pdf.empty:
+        t0 = time.perf_counter()
+        rows, cols = collect_edges(batch_df)
+        if not rows:
             return
-        _apply(result, engine, edge_rows(pdf), pdf["ts"].iloc[-1], batch_id)
+        collect_s = time.perf_counter() - t0
+        _apply(result, engine, rows, cols["ts"][-1], batch_id)
+        result.detections[-1].collect_s = collect_s
 
     stream = (
         spark.readStream.schema(STREAM_SCHEMA)

@@ -64,6 +64,13 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     )
 
 
+def edge_weight_map(eng: SpadeEngine) -> Dict[Tuple, float]:
+    """Every stored edge weight, keyed by its endpoints' external ids."""
+    n, adj, _ = eng.snapshot_graph()
+    ext = eng._ext_of
+    return {(ext[u], ext[v]): c for u in range(n) for v, c in adj[u].items()}
+
+
 def brute_force_best_density(
     n: int, adj: Sequence[Dict[int, float]], a: Sequence[float]
 ) -> float:

@@ -147,8 +147,15 @@ class TestAtomicRejection:
             ([("v1", "v2", 5.0), ("new", "v4", -2.0)], "> 0"),
             ([("v1", "v2", 5.0), ("new", "v4", math.nan)], "finite"),
             ([("v1", "v2", 5.0), ("new", "v4", math.inf)], "finite"),
+            ([("v1", "v2", 5.0), (None, "v4", 1.0)], "None or NaN"),
+            ([("v1", "v2", 5.0), ("v3", None, 1.0)], "None or NaN"),
+            ([("v1", "v2", 5.0), (math.nan, "v4", 1.0)], "None or NaN"),
+            ([("v1", "v2", 5.0), ("v3", np.float64("nan"), 1.0)], "None or NaN"),
+            ([(None, None, 1.0)], "None or NaN"),
+            ([(math.nan, math.nan, 1.0)], "None or NaN"),
         ],
-        ids=["self-loop", "negative", "nan", "inf"],
+        ids=["self-loop", "negative", "nan", "inf", "none-src", "none-dst",
+             "nan-src", "nan-dst", "none-both", "nan-both"],
     )
     def test_insert_batch(self, batch, match):
         eng = _loaded(DW)
@@ -182,6 +189,10 @@ class TestAtomicRejection:
         with pytest.raises(ValueError, match="self-loop"):
             eng.bulk_load([("x", "y", 1.0), ("y", "y", 1.0)])
         assert _state(eng) == before
+        for bad in (None, math.nan):
+            with pytest.raises(ValueError, match="None or NaN"):
+                eng.bulk_load([("x", "y", 1.0), ("y", bad, 1.0)])
+            assert _state(eng) == before
         with pytest.raises(ValueError, match="> 0"):
             eng.bulk_load([("x", "y", 1.0), ("y", "z", 1.0)], edge_weights=[1.0, 0.0])
         assert _state(eng) == before

@@ -1,7 +1,9 @@
 """Structured Streaming micro-batch ingestion and the replay harness."""
+import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core import DW, SpadeEngine
+from repro.core import DW, FD, SpadeEngine
 from repro.datasets import edge_rows, load_preset
 from repro.spark.streaming import (
     replay,
@@ -9,7 +11,7 @@ from repro.spark.streaming import (
     run_stream,
     write_increment_files,
 )
-from tests.helpers import assert_engine_valid
+from tests.helpers import assert_engine_valid, edge_weight_map
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +19,18 @@ def data():
     return load_preset("grab1_lite", scale=0.03)
 
 
-def _fresh_engine(data):
-    eng = SpadeEngine(DW)
+def _fresh_engine(data, metric=DW):
+    eng = SpadeEngine(metric)
     eng.bulk_load(edge_rows(data.initial), priors=data.priors)
     return eng
+
+
+def _assert_same_batches(streamed, replayed):
+    for got, want in zip(streamed.detections, replayed.detections, strict=True):
+        assert got.n_edges == want.n_edges
+        assert got.last_ts == want.last_ts
+        assert got.new_fraudsters == want.new_fraudsters
+        assert got.density == want.density
 
 
 class TestFiles:
@@ -28,8 +38,6 @@ class TestFiles:
         paths = write_increment_files(data.increments, str(tmp_path), 5)
         assert len(paths) == 5
         assert [p.name for p in paths] == sorted(p.name for p in paths)
-        import pandas as pd
-
         total = sum(len(pd.read_parquet(p)) for p in paths)
         assert total == len(data.increments)
 
@@ -48,6 +56,7 @@ class TestStructuredStreaming:
             d.batch_id for d in result.detections
         )
         assert result.total_edges == len(data.increments)
+        assert all(d.collect_s > 0 for d in result.detections)
 
         # Same batches as the in-process replay (the increments have
         # unique timestamps, so equal-size batches match the files)...
@@ -57,11 +66,7 @@ class TestStructuredStreaming:
             eng_replay, data.increments, batch_size=len(data.increments) // n_files
         )
         assert len(replayed.detections) == n_files
-        for got, want in zip(result.detections, replayed.detections):
-            assert got.n_edges == want.n_edges
-            assert got.last_ts == want.last_ts
-            assert got.new_fraudsters == want.new_fraudsters
-            assert got.density == want.density
+        _assert_same_batches(result, replayed)
         assert eng_stream.n_edges == eng_replay.n_edges
         assert eng_stream.f_total == pytest.approx(eng_replay.f_total)
 
@@ -72,6 +77,40 @@ class TestStructuredStreaming:
         assert eng_stream.community_external() == eng_scratch.community_external()
         assert_engine_valid(eng_stream)
 
+    def test_rows_out_of_order_within_a_file(self, spark, data, tmp_path):
+        """Only the driver-side sort orders a micro-batch. Under FD an
+        edge's weight depends on its object's in-degree when it arrives,
+        so any ordering error changes the weights. One tied pair shares
+        its object and must keep file order, as ``replay``'s mergesort
+        does."""
+        n_files = 4
+        inc = data.increments.sort_values("ts", kind="mergesort").reset_index(drop=True)
+        assert len(inc) % n_files == 0
+        size = len(inc) // n_files
+        assert inc.at[1, "src"] not in (inc.at[0, "src"], inc.at[0, "dst"])
+        inc.at[1, "dst"], inc.at[1, "ts"] = inc.at[0, "dst"], inc.at[0, "ts"]
+        rng = np.random.default_rng(0)
+        (tmp_path / "in").mkdir()
+        files = []
+        for i in range(n_files):
+            chunk = inc.iloc[i * size : (i + 1) * size]
+            files.append(chunk.iloc[rng.permutation(size)])
+            assert not files[-1]["ts"].is_monotonic_increasing
+            files[-1].to_parquet(tmp_path / "in" / f"batch-{i:06d}.parquet", index=False)
+        first = files[0].index.tolist()
+        assert first.index(1) < first.index(0)  # the tie is out of id order
+
+        eng_stream = _fresh_engine(data, FD)
+        result = run_stream(
+            spark, eng_stream, str(tmp_path / "in"), str(tmp_path / "ckpt")
+        )
+        eng_replay = _fresh_engine(data, FD)
+        replayed = replay(eng_replay, pd.concat(files), batch_size=size)
+        assert len(result.detections) == len(replayed.detections) == n_files
+        _assert_same_batches(result, replayed)
+        assert edge_weight_map(eng_stream) == edge_weight_map(eng_replay)
+        assert_engine_valid(eng_stream)
+
 
 class TestReplay:
     def test_replay_covers_all_edges(self, data):
@@ -80,6 +119,7 @@ class TestReplay:
         assert res.total_edges == len(data.increments)
         assert res.per_edge_us > 0
         assert res.total_elapsed_s > 0
+        assert all(d.collect_s == 0.0 for d in res.detections)
 
     def test_replay_batches_have_monotone_timestamps(self, data):
         eng = _fresh_engine(data)
@@ -93,4 +133,5 @@ class TestReplay:
         assert len(urgent) == len(data.increments)
         assert res.total_edges == len(data.increments)
         assert eng.buffered_edges == 0
+        assert all(d.collect_s == 0.0 for d in res.detections)
         assert_engine_valid(eng)
