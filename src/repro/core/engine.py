@@ -36,6 +36,10 @@ per-edge maintenance orders of magnitude faster than a scratch peel.
 Emissions are written back in place as the frontier advances, and
 ``Detect`` keeps ``f(S_j)`` and ``g(S_j)`` per slot, so an update
 re-accumulates suffix weights only over the slots its reorder rewrote.
+That span update is the only way ``Detect`` is computed: a static peel
+enters as one span over every slot, a front-gap regrow carries the
+cached slots along with the sequence, and an empty batch rewrites an
+empty span.
 
 Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update, plus
 ``O(span)`` sequential work over the rewritten span (white-run moves
@@ -69,12 +73,15 @@ class SpadeEngine:
         insertion time — see DESIGN.md).
     vertex_prior:
         Default side-information prior handed to ``vsusp`` for vertices
-        first seen through edge insertion.
+        first seen through edge insertion. Validated at construction:
+        a prior that ``vsusp`` maps outside Property 3.1 raises
+        ``ValueError``.
     """
 
     def __init__(self, metric: Metric, vertex_prior: float = 0.0):
         self.metric = metric
         self.default_prior = vertex_prior
+        self._default_a = self._vsusp(None)  # a bad prior fails here, not on first use
         # --- graph state ---------------------------------------------------
         self._vid_of: Dict[Hashable, int] = {}  # external id -> internal vid
         self._ext_of: List[Hashable] = []
@@ -93,12 +100,10 @@ class SpadeEngine:
         # --- detection state ----------------------------------------------
         # Aligned with the backing arrays and valid on [_det_lo, _hi):
         # _F[j] = f(S_j), _G[j] = g(S_j) = _F[j] / _size[j], _size[j] = _hi - j.
-        # _det_lo is None when the next Detect must rebuild them.
         self._F = np.empty(0, dtype=np.float64)
         self._G = np.empty(0, dtype=np.float64)
         self._size = np.empty(0, dtype=np.float64)
-        self._det_lo: Optional[int] = None
-        self._best_index = 0  # absolute slot where S^P starts
+        self._det_lo = 0
         self._best_g = 0.0
         self._community: Set[int] = set()
         # --- edge grouping -------------------------------------------------
@@ -171,7 +176,7 @@ class SpadeEngine:
             raise ValueError(
                 f"{len(edge_weights)} edge weights given for {len(edges)} edges"
             )
-        metric, vid_of = self.metric, self._vid_of
+        metric, vid_of, default_a = self.metric, self._vid_of, self._default_a
         cs: List[float] = []
         new_a: Dict[Hashable, float] = {}
         in_deg: Dict[Hashable, int] = {}
@@ -184,9 +189,11 @@ class SpadeEngine:
             if not math.isfinite(amount):
                 raise ValueError(f"edge {src!r}->{dst!r}: amount {amount} is not finite")
             if src not in vid_of and src not in new_a:
-                new_a[src] = self._vsusp(priors.get(src))
+                prior = priors.get(src)
+                new_a[src] = default_a if prior is None else self._vsusp(prior)
             if dst not in vid_of and dst not in new_a:
-                new_a[dst] = self._vsusp(priors.get(dst))
+                prior = priors.get(dst)
+                new_a[dst] = default_a if prior is None else self._vsusp(prior)
             deg = in_deg.get(dst)
             if deg is None:
                 vid = vid_of.get(dst)
@@ -263,7 +270,11 @@ class SpadeEngine:
         self._rebuild_sequence()
 
     def _rebuild_sequence(self) -> None:
-        """Static peel of the current graph (used at load; test comparator)."""
+        """Static peel of the current graph (``bulk_load``).
+
+        Allocates the slot arrays behind a front gap for head insertions
+        and enters the whole sequence into Detect as one rewritten span.
+        """
         n = self.n_vertices
         order, delta = peel_sequence(n, self._adj, self._a)
         pad = max(64, n // 4)
@@ -271,62 +282,50 @@ class SpadeEngine:
         self._order[pad:] = order
         self._delta = np.empty(pad + n, dtype=np.float64)
         self._delta[pad:] = delta
+        self._F = np.empty(pad + n, dtype=np.float64)
+        self._G = np.empty(pad + n, dtype=np.float64)
+        self._size = np.empty(pad + n, dtype=np.float64)
         self._lo = pad
-        self._hi = pad + n
+        self._hi = self._det_lo = pad + n  # no F/G slot valid yet
         self._pos[self._order[pad:]] = np.arange(pad, pad + n, dtype=np.int64)
-        self._refresh_detection()
+        self._refresh_detection((self._lo, self._hi))
 
     # ------------------------------------------------------------------
     # detection (the paper's Detect): argmax_i g(S_i) over the sequence
     # ------------------------------------------------------------------
-    def _refresh_detection(self, span: Optional[Tuple[int, int]] = None) -> Set[Hashable]:
+    def _refresh_detection(self, span: Tuple[int, int]) -> Set[Hashable]:
         """Update the suffix densities; return the *new* fraudsters (ext ids).
 
-        ``span = (first, end)`` is the slot range the reorder rewrote.
-        ``f(S_j)`` is the sum of ``Δ`` from slot ``j`` to ``_hi``, so slots
-        at or past ``end`` keep ``F`` and ``G``; slots before ``first``
-        keep their ``Δ`` and shift ``F`` by one constant, the change of
-        ``F[first]``; only ``[first, end)`` is re-accumulated. Slots of
-        head-inserted vertices join the span. ``None`` (a static peel or
-        an empty batch), or a front-gap regrow since the last call,
-        rebuilds every slot. The earliest slot wins a tie, as in
-        ``np.argmax`` and :func:`~repro.core.peel.best_community`.
+        ``span = (first, end)`` is the slot range whose ``Δ`` changed:
+        the reorder's rewritten span, or the whole sequence after a
+        static peel. ``f(S_j)`` is the sum of ``Δ`` from slot ``j`` to
+        ``_hi``, so slots at or past ``end`` keep ``F`` and ``G``; slots
+        before ``first`` keep their ``Δ`` and shift ``F`` by one constant,
+        the change of ``F[first]``; only ``[first, end)`` is
+        re-accumulated. Slots before ``_det_lo`` (head-inserted vertices,
+        or every slot after a static peel) join the span. An empty span
+        leaves ``F``, ``G`` and ``S^P`` as they stand. The earliest slot
+        wins a tie, as in ``np.argmax`` and
+        :func:`~repro.core.peel.best_community`.
         """
-        lo, hi = self._lo, self._hi
-        if span is None or self._det_lo is None:
-            if len(self._F) != len(self._order):
-                self._F = np.empty(len(self._order), dtype=np.float64)
-                self._G = np.empty(len(self._order), dtype=np.float64)
-                self._size = np.empty(len(self._order), dtype=np.float64)
-            d = self._delta[lo:hi]
-            self._F[lo:hi] = self._f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
-            self._size[lo:hi] = np.arange(hi - lo, 0, -1, dtype=np.float64)
-            first, end = lo, hi
-        else:
-            F, det_lo = self._F, self._det_lo
-            first, end = span
-            if lo < det_lo:
-                self._size[lo:det_lo] = np.arange(hi - lo, hi - det_lo, -1, dtype=np.float64)
-                first, end = lo, max(end, det_lo)
-            if first >= end:
-                return set()  # no slot rewritten: F, G and S^P stand
-            old = F[first]
-            anchor = F[end] if end < hi else 0.0
-            F[first:end] = np.cumsum(self._delta[first:end][::-1])[::-1] + anchor
-            shift = F[first] - old
-            if first > lo and shift:
-                F[lo:first] += shift
-                first = lo
-        self._det_lo = lo
-        if hi == lo:
-            self._best_g = 0.0
-            self._community = set()
-            return set()
-        np.divide(self._F[first:end], self._size[first:end], out=self._G[first:end])
-        i = int(np.argmax(self._G[lo:hi]))
-        self._best_index = lo + i
-        self._best_g = float(self._G[lo + i])
-        new_comm = set(map(int, self._order[self._best_index : hi]))
+        lo, hi, F, det_lo = self._lo, self._hi, self._F, self._det_lo
+        first, end = span
+        if lo < det_lo:
+            self._size[lo:det_lo] = np.arange(hi - lo, hi - det_lo, -1, dtype=np.float64)
+            first, end = lo, max(end, det_lo)
+            self._det_lo = lo
+        if first >= end:
+            return set()  # no slot rewritten (always so for an empty sequence)
+        old = F[first]
+        anchor = F[end] if end < hi else 0.0
+        F[first:end] = np.cumsum(self._delta[first:end][::-1])[::-1] + anchor
+        if first > lo and F[first] != old:
+            F[lo:first] += F[first] - old
+            first = lo
+        np.divide(F[first:end], self._size[first:end], out=self._G[first:end])
+        best = lo + int(np.argmax(self._G[lo:hi]))
+        self._best_g = float(self._G[best])
+        new_comm = set(map(int, self._order[best:hi]))
         fresh = new_comm - self._community
         self._community = new_comm
         return {self._ext_of[v] for v in fresh}
@@ -343,16 +342,14 @@ class SpadeEngine:
             return
         pad = max(64, m, (self._hi - self._lo) // 4)
         shift = pad - self._lo + m
-        n_backing = len(self._order)
-        order = np.empty(n_backing + shift, dtype=np.int64)
-        delta = np.empty(n_backing + shift, dtype=np.float64)
-        order[shift:] = self._order
-        delta[shift:] = self._delta
-        self._order, self._delta = order, delta
+        for name in ("_order", "_delta", "_F", "_G", "_size"):
+            old = getattr(self, name)
+            grown = np.empty(len(old) + shift, dtype=old.dtype)
+            grown[shift:] = old
+            setattr(self, name, grown)
         self._lo += shift
         self._hi += shift
-        self._best_index += shift
-        self._det_lo = None  # F/G slots moved: the next Detect rebuilds them
+        self._det_lo += shift  # F, G and _size moved with their slots
         self._pos[self._order[self._lo : self._hi]] += shift
 
     def _insert_head(self, vid: int) -> None:
@@ -374,15 +371,15 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     # the incremental reorder (Algorithm 2; 𝒯 is the |ΔE|=1 case)
     # ------------------------------------------------------------------
-    def _reorder(self, black: Set[int]) -> Optional[Tuple[int, int]]:
+    def _reorder(self, black: Set[int]) -> Tuple[int, int]:
         """Reorder the sequence for a batch whose endpoints are ``black``.
 
         Returns the slot range ``(first, end)`` it rewrote, empty
-        (``first >= end``) when every emission landed in place, or None
-        for an empty batch.
+        (``first >= end``) when every emission landed in place or the
+        batch is empty.
         """
         if not black:
-            return None
+            return (self._hi, self._hi)
         order, delta, pos, adj, a = (
             self._order,
             self._delta,
@@ -573,12 +570,8 @@ class SpadeEngine:
         v = self._vid_of.get(dst)
         deg = (self._in_deg[v] if v is not None else 0) + 1
         c = float(self.metric.esusp(float(amount), deg))
-        w_u = self._w0[u] if u is not None else float(
-            self.metric.vsusp(self.default_prior)
-        )
-        w_v = self._w0[v] if v is not None else float(
-            self.metric.vsusp(self.default_prior)
-        )
+        w_u = self._w0[u] if u is not None else self._default_a
+        w_v = self._w0[v] if v is not None else self._default_a
         g = self._best_g
         return (w_u + c < g) and (w_v + c < g)
 
@@ -599,14 +592,11 @@ class SpadeEngine:
         a later flush reject the whole buffer.
         """
         self._weigh([(src, dst, amount)], {})
-        if self.is_benign(src, dst, amount):
-            self._benign_buffer.append((src, dst, amount))
-            if max_buffer is not None and len(self._benign_buffer) >= max_buffer:
-                return self.flush_buffer()
-            return set()
-        batch = self._benign_buffer + [(src, dst, amount)]
-        self._benign_buffer = []
-        return self.insert_batch(batch)
+        urgent = not self.is_benign(src, dst, amount)
+        self._benign_buffer.append((src, dst, amount))
+        if urgent or (max_buffer is not None and len(self._benign_buffer) >= max_buffer):
+            return self.flush_buffer()
+        return set()
 
     def flush_buffer(self) -> Set[Hashable]:
         """Force-apply any buffered benign edges (end-of-stream flush)."""

@@ -83,8 +83,7 @@ def simulate_batch(
     resp = np.empty(n, dtype=np.float64)
     for s in range(0, n, batch_size):
         e = min(s + batch_size, n)
-        tau_s = t[e - 1] if e < n or (e - s) == batch_size else t[-1]
-        resp[s:e] = tau_s + proc_time(e - s)
+        resp[s:e] = t[e - 1] + proc_time(e - s)
     return SimResult(response=resp, arrivals=t)
 
 

@@ -183,6 +183,17 @@ class TestAtomicRejection:
                              priors={"fresh": prior})
         assert _state(eng) == before
 
+    @pytest.mark.parametrize("prior", [-1.0, math.nan])
+    def test_bad_default_prior(self, prior):
+        """A bad default prior fails at construction, not on first use;
+        DG and DW ignore the prior, so they accept any value."""
+        with pytest.raises(ValueError, match="vertex suspiciousness"):
+            SpadeEngine(FD, vertex_prior=prior)
+        for metric in (DG, DW):
+            eng = SpadeEngine(metric, vertex_prior=prior)
+            eng.bulk_load([("a", "b", 4.0)] * 4)
+            assert eng.is_benign("x", "y", 1.0)  # w = 0 + 1 < g(S^P) >= 2
+
     def test_bulk_load(self):
         eng = _loaded(DW)
         before = _state(eng)
