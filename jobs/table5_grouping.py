@@ -37,12 +37,7 @@ import pandas as pd
 
 from repro.core import SpadeEngine, metric_by_name
 from repro.core.peel import peel
-from repro.core.sim import (
-    prevention_ratio,
-    simulate_batch,
-    simulate_grouping,
-    simulate_static,
-)
+from repro.core.sim import prevention_ratio, simulate_flushes, simulate_static
 from repro.datasets import edge_rows, load_preset
 from repro.datasets.generator import GraphData
 from repro.spark.streaming import replay, replay_grouped
@@ -64,9 +59,9 @@ def _calibrated_arrivals(data: GraphData, static_s: float, batch: int) -> np.nda
 def _detection_response(result, sim, blocks) -> List[Optional[float]]:
     """Per fraud block: response time of the batch that first flagged it.
 
-    ``result`` is a ReplayResult whose detections are aligned with the
-    flush/batch structure of ``sim`` (same number of entries, same
-    order); the sim response of a batch is the response of its edges.
+    ``sim`` was simulated from ``result``'s own flush sizes, so flush
+    ``i`` covers the next ``result.detections[i].n_edges`` edges; the
+    sim response of a flush is the response of its edges.
     """
     # Build per-batch response: batches are contiguous edge ranges.
     responses: List[Optional[float]] = [None] * len(blocks)
@@ -132,11 +127,12 @@ def run(
 
             # --- latency simulation (Eq. 4, over labeled fraud edges) ---
             sim_s = simulate_static(arrivals, static_s)
-            sim_b = simulate_batch(arrivals, batch, lambda b: mean_bt * b / batch)
+            # The replays' recorded flushes: the flush rules live only there.
+            sizes_b = [d.n_edges for d in res_b.detections]
+            sim_b = simulate_flushes(arrivals, sizes_b, lambda b: mean_bt * b / batch)
             per_edge_g = res_g.total_elapsed_s / max(1, res_g.total_edges)
-            sim_g = simulate_grouping(
-                arrivals, urgent, lambda b: per_edge_g * b, max_buffer=10 * batch
-            )
+            sizes_g = [d.n_edges for d in res_g.detections]
+            sim_g = simulate_flushes(arrivals, sizes_g, lambda b: per_edge_g * b)
             n_est = len(data.established_blocks)
             fraud_mask = (
                 inc["block"].to_numpy() >= n_est

@@ -254,8 +254,8 @@ class SpadeEngine:
         """Load the initial graph and compute its peeling sequence.
 
         ``edges`` yields ``(src, dst, amount, ...)`` tuples. If
-        ``edge_weights`` is given (e.g. final-graph FD weights computed
-        by the Spark builder), it overrides ``esusp`` evaluation —
+        ``edge_weights`` is given (e.g. static FD weights computed over
+        the whole edge table), it overrides ``esusp`` evaluation —
         otherwise weights are evaluated in arrival order exactly as
         ``insert_edge`` would. The whole load is validated first: a
         rejected load leaves the engine as it was.

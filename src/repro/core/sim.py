@@ -11,17 +11,18 @@ Implements the metrics of §4.3 / §5.2:
   of a fraudster's transactions arriving *after* the fraudster was
   first flagged at ``τ_f`` — those are banned, i.e. prevented.
 
-Three response policies are simulated over a timestamped arrival
+Two response policies are simulated over a timestamped arrival
 stream, parameterized by measured processing costs:
 
-* ``static``   — scratch detections run back-to-back, each taking
+* ``static``  — scratch detections run back-to-back, each taking
   ``static_time``; an edge is covered by the first run that *starts*
   at or after its arrival (the run then sees the edge in its snapshot).
-* ``batch``    — reordering triggers when ``batch_size`` edges have
-  queued (Table 4/5's Inc*-x); processing takes ``proc_time(b)``.
-* ``grouping`` — Spade's edge grouping: urgent edges trigger an
-  immediate flush of the benign buffer (§4.3); ``urgent`` flags come
-  from replaying ``SpadeEngine.is_benign`` over the stream.
+* ``flushes`` — the reorders an engine replay actually made: fixed-size
+  batches (Table 4/5's Inc*-x, ``replay``) or edge-grouping flushes
+  (§4.3, ``replay_grouped``: an urgent edge flushes the benign buffer).
+  The flush sizes are the replay's ``BatchDetection.n_edges``, so the
+  simulation never restates a flush rule; processing a flush of ``b``
+  edges takes ``proc_time(b)``.
 """
 from __future__ import annotations
 
@@ -67,53 +68,21 @@ def simulate_static(arrivals: Sequence[float], static_time: float) -> SimResult:
     return SimResult(response=start + static_time, arrivals=t)
 
 
-def simulate_batch(
+def simulate_flushes(
     arrivals: Sequence[float],
-    batch_size: int,
+    sizes: Sequence[int],
     proc_time: Callable[[int], float],
 ) -> SimResult:
-    """Fixed-size batch reordering: queue ``batch_size`` edges, process.
+    """Replay a recorded flush sequence: flush ``i`` covers the next ``sizes[i]`` edges.
 
-    The trigger time ``τ_s`` is the arrival of the batch's last edge;
-    all edges of the batch respond at ``τ_f = τ_s + proc_time(b)``. The
-    trailing partial batch flushes at end-of-stream (the last arrival).
+    A flush triggers at the arrival of its last edge and all its edges
+    respond ``proc_time(sizes[i])`` later; ``sizes`` sum to
+    ``len(arrivals)``, as a replay's ``BatchDetection.n_edges`` do.
     """
     t = np.asarray(arrivals, dtype=np.float64)
-    n = len(t)
-    resp = np.empty(n, dtype=np.float64)
-    for s in range(0, n, batch_size):
-        e = min(s + batch_size, n)
-        resp[s:e] = t[e - 1] + proc_time(e - s)
-    return SimResult(response=resp, arrivals=t)
-
-
-def simulate_grouping(
-    arrivals: Sequence[float],
-    urgent: Sequence[bool],
-    proc_time: Callable[[int], float],
-    max_buffer: Optional[int] = None,
-) -> SimResult:
-    """Edge grouping: benign edges queue; an urgent edge flushes the buffer.
-
-    ``urgent[i]`` says whether edge ``i`` was classified urgent by
-    Definition 4.1 at replay time. ``max_buffer`` mirrors the engine's
-    optional cap so purely-benign streams still flush.
-    """
-    t = np.asarray(arrivals, dtype=np.float64)
-    u = np.asarray(urgent, dtype=bool)
-    n = len(t)
-    resp = np.empty(n, dtype=np.float64)
-    start = 0
-    for i in range(n):
-        pending = i - start + 1
-        if u[i] or (max_buffer is not None and pending >= max_buffer):
-            tau_f = t[i] + proc_time(pending)
-            resp[start : i + 1] = tau_f
-            start = i + 1
-    if start < n:  # end-of-stream flush of the trailing benign buffer
-        tau_f = t[-1] + proc_time(n - start)
-        resp[start:n] = tau_f
-    return SimResult(response=resp, arrivals=t)
+    b = np.asarray(sizes, dtype=np.int64)
+    done = t[np.cumsum(b) - 1] + np.array([proc_time(int(k)) for k in b], dtype=np.float64)
+    return SimResult(response=np.repeat(done, b), arrivals=t)
 
 
 def prevention_ratio(

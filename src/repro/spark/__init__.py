@@ -1,10 +1,9 @@
-"""Spark substrate: graph construction and streaming ingestion.
+"""Spark substrate: engine bootstrap and streaming ingestion.
 
-All set-oriented work lives here as DataFrame/Spark-SQL transformations
-(degrees, Fraudar edge weighting, and the Structured Streaming
-micro-batch ingestion path), with results handed to the driver-resident
-``SpadeEngine`` via Arrow.
+The transaction log is read as DataFrames (the bootstrap graph and the
+Structured Streaming micro-batches) and handed to the driver-resident
+``SpadeEngine`` via Arrow; the engine's ``Metric`` weighs every edge.
 """
-from repro.spark.builder import build_engine, degrees, edge_weights
+from repro.spark.builder import build_engine
 
-__all__ = ["build_engine", "degrees", "edge_weights"]
+__all__ = ["build_engine"]

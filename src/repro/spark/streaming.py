@@ -87,6 +87,7 @@ def _record(
     fresh: Set,
     last_ts: float,
     batch_id: Optional[int] = None,
+    collect_s: float = 0.0,
 ) -> None:
     """Append the detection after one applied batch.
 
@@ -100,6 +101,7 @@ def _record(
             new_fraudsters=fresh,
             density=engine.best_density,
             last_ts=float(last_ts),
+            collect_s=collect_s,
         )
     )
 
@@ -110,12 +112,13 @@ def _apply(
     rows: list,
     last_ts: float,
     batch_id: Optional[int] = None,
+    collect_s: float = 0.0,
 ) -> None:
     """Insert ``rows`` as one timed batch and record its detection."""
     t0 = time.perf_counter()
     fresh = engine.insert_batch(rows)
     elapsed_s = time.perf_counter() - t0
-    _record(result, engine, len(rows), elapsed_s, fresh, last_ts, batch_id)
+    _record(result, engine, len(rows), elapsed_s, fresh, last_ts, batch_id, collect_s)
 
 
 def write_increment_files(
@@ -159,9 +162,7 @@ def run_stream(
         rows, cols = collect_edges(batch_df)
         if not rows:
             return
-        collect_s = time.perf_counter() - t0
-        _apply(result, engine, rows, cols["ts"][-1], batch_id)
-        result.detections[-1].collect_s = collect_s
+        _apply(result, engine, rows, cols["ts"][-1], batch_id, time.perf_counter() - t0)
 
     stream = (
         spark.readStream.schema(STREAM_SCHEMA)

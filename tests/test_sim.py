@@ -1,13 +1,45 @@
 """Latency / prevention discrete-event simulator (Eq. 4, ℛ)."""
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.sim import (
-    prevention_ratio,
-    simulate_batch,
-    simulate_grouping,
-    simulate_static,
-)
+from repro.core import DG, SpadeEngine
+from repro.core.sim import prevention_ratio, simulate_flushes, simulate_static
+from repro.spark.streaming import replay, replay_grouped
+
+# A one-way 6-clique: g(S*) = 15/6. A fresh-pair edge weighs 0 + 1 < 2.5
+# at both ends (benign); an edge into the clique is urgent.
+_CLIQUE = [(f"b{i}", f"b{j}", 1.0) for i in range(6) for j in range(i + 1, 6)]
+
+
+def _stream(arrivals, urgent) -> pd.DataFrame:
+    rows = [
+        (f"u{i}", "b0") if u else (f"x{i}", f"y{i}")
+        for i, u in enumerate(urgent)
+    ]
+    return pd.DataFrame(
+        {"src": [r[0] for r in rows], "dst": [r[1] for r in rows],
+         "amount": 1.0, "ts": np.asarray(arrivals, dtype=np.float64)}
+    )
+
+
+def _engine() -> SpadeEngine:
+    eng = SpadeEngine(DG)
+    eng.bulk_load(_CLIQUE)
+    return eng
+
+
+def _grouped(arrivals, urgent, proc_time, max_buffer=None):
+    """Simulate the flushes ``replay_grouped`` made over the stream."""
+    res, flags = replay_grouped(_engine(), _stream(arrivals, urgent), max_buffer)
+    assert flags.tolist() == list(urgent)
+    return simulate_flushes(arrivals, [d.n_edges for d in res.detections], proc_time)
+
+
+def _batched(arrivals, batch_size, proc_time):
+    """Simulate the fixed-size batches ``replay`` made over the stream."""
+    res = replay(_engine(), _stream(arrivals, [False] * len(arrivals)), batch_size)
+    return simulate_flushes(arrivals, [d.n_edges for d in res.detections], proc_time)
 
 
 class TestStatic:
@@ -35,43 +67,41 @@ class TestStatic:
 
 class TestBatch:
     def test_batch_responds_at_last_arrival_plus_proc(self):
-        r = simulate_batch([1.0, 2.0, 7.0], batch_size=3, proc_time=lambda b: 0.5)
+        r = _batched([1.0, 2.0, 7.0], batch_size=3, proc_time=lambda b: 0.5)
         assert list(r.response) == pytest.approx([7.5] * 3)
         assert r.latency[0] == pytest.approx(6.5)
 
     def test_partial_trailing_batch_flushes_at_end(self):
-        r = simulate_batch([1.0, 2.0, 3.0, 10.0], batch_size=3, proc_time=lambda b: 1.0)
+        r = _batched([1.0, 2.0, 3.0, 10.0], batch_size=3, proc_time=lambda b: 1.0)
         assert list(r.response[:3]) == pytest.approx([4.0] * 3)
         assert r.response[3] == pytest.approx(11.0)
 
     def test_larger_batches_increase_queueing(self):
         t = np.arange(1.0, 1001.0)
-        small = simulate_batch(t, 10, lambda b: 0.0).mean_latency
-        large = simulate_batch(t, 500, lambda b: 0.0).mean_latency
+        small = simulate_flushes(t, [10] * 100, lambda b: 0.0).mean_latency
+        large = simulate_flushes(t, [500] * 2, lambda b: 0.0).mean_latency
         assert large > small
 
 
 class TestGrouping:
     def test_urgent_edge_flushes_immediately(self):
         urgent = [False, False, True]
-        r = simulate_grouping([1.0, 2.0, 3.0], urgent, proc_time=lambda b: 0.1)
+        r = _grouped([1.0, 2.0, 3.0], urgent, proc_time=lambda b: 0.1)
         assert list(r.response) == pytest.approx([3.1] * 3)
 
     def test_urgent_latency_is_processing_only(self):
         urgent = [False, True, False, True]
-        r = simulate_grouping([1.0, 5.0, 6.0, 9.0], urgent, proc_time=lambda b: 0.2)
+        r = _grouped([1.0, 5.0, 6.0, 9.0], urgent, proc_time=lambda b: 0.2)
         assert r.latency[1] == pytest.approx(0.2)
         assert r.latency[3] == pytest.approx(0.2)
 
     def test_benign_tail_flushes_at_stream_end(self):
-        r = simulate_grouping([1.0, 2.0], [False, False], proc_time=lambda b: 0.3)
+        r = _grouped([1.0, 2.0], [False, False], proc_time=lambda b: 0.3)
         assert list(r.response) == pytest.approx([2.3, 2.3])
 
     def test_max_buffer_cap(self):
         urgent = [False] * 4
-        r = simulate_grouping(
-            [1.0, 2.0, 3.0, 4.0], urgent, proc_time=lambda b: 0.0, max_buffer=2
-        )
+        r = _grouped([1.0, 2.0, 3.0, 4.0], urgent, proc_time=lambda b: 0.0, max_buffer=2)
         assert list(r.response) == pytest.approx([2.0, 2.0, 4.0, 4.0])
 
     def test_grouping_beats_batch_for_urgent_edges(self):
@@ -79,8 +109,8 @@ class TestGrouping:
         t = np.arange(0.0, 100.0, 0.1)
         urgent = np.zeros(len(t), dtype=bool)
         urgent[::50] = True  # sparse fraud
-        g = simulate_grouping(t, urgent, proc_time=lambda b: 0.01)
-        b = simulate_batch(t, 500, proc_time=lambda b: 0.01)
+        g = _grouped(t, urgent, proc_time=lambda b: 0.01)
+        b = _batched(t, 500, proc_time=lambda b: 0.01)
         assert g.latency[urgent].mean() < b.latency[urgent].mean() / 10
 
 

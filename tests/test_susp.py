@@ -1,9 +1,13 @@
 """Suspiciousness metrics: values, Property 3.1, Axioms 1-3 (Appendix E)."""
 import math
 
+import duckdb
+import numpy as np
 import pytest
 
+from repro.core import SpadeEngine
 from repro.core.susp import DG, DW, FD, FD_LOG_C, Metric, metric_by_name
+from repro.datasets import edge_rows, load_preset
 
 
 class TestMetricValues:
@@ -98,3 +102,37 @@ class TestAxioms:
     def test_axiom3_concentration(self):
         # Same total mass on fewer vertices => denser.
         assert self.g(2.0, 6.0, 3) > self.g(2.0, 6.0, 5)
+
+
+class TestFinalGraphFD:
+    """Static Fraudar weighs an FD edge by its object's *final-graph*
+    in-degree; the engine weighs it at insertion time (DESIGN.md, *FD
+    weight semantics*). The static weights load through
+    ``bulk_load(edge_weights=...)``."""
+
+    @pytest.fixture(scope="class")
+    def final(self):
+        edges = load_preset("grab1_lite", scale=0.03).edges.reset_index(drop=True)
+        weight = f"1.0 / LN(d.in_deg + {FD_LOG_C})"
+        join = "FROM e JOIN (SELECT dst, COUNT(*) AS in_deg FROM e GROUP BY dst) d ON e.dst = d.dst"
+        with duckdb.connect() as con:
+            con.register("e", edges.assign(i=np.arange(len(edges))))
+            w = con.execute(f"SELECT {weight} AS w {join} ORDER BY e.i").fetchnumpy()["w"]
+            total = con.execute(f"SELECT SUM({weight}) {join}").fetchone()[0]
+        eng = SpadeEngine(FD)
+        eng.bulk_load(edge_rows(edges), edge_weights=w)
+        return edges, eng, total
+
+    def test_fd_final_graph_weights_total(self, final):
+        """Engine f_total under static FD weighting == DuckDB's sum."""
+        _, eng, total = final
+        # Default prior 0 => vertex mass 0; f_total is the edge mass.
+        assert eng.f_total == pytest.approx(total)
+
+    def test_fd_insertion_vs_final_weights_diverge_boundedly(self, final):
+        """The two FD weightings differ, but within log-factors."""
+        edges, e_fin, _ = final
+        e_ins = SpadeEngine(FD)
+        e_ins.bulk_load(edge_rows(edges))
+        ratio = e_ins.f_total / e_fin.f_total
+        assert 1.0 <= ratio <= math.log(len(edges) + FD_LOG_C)
