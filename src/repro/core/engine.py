@@ -34,17 +34,21 @@ whites are emitted *in bulk* with a vectorized scan for the first
 per-edge maintenance orders of magnitude faster than a scratch peel.
 
 Emissions are written back in place as the frontier advances, and
-``Detect`` keeps ``f(S_j)`` and ``g(S_j)`` per slot, so an update
-re-accumulates suffix weights only over the slots its reorder rewrote.
+``Detect`` keeps ``f(S_j)`` per slot under per-block lazy offsets and
+each block's best ``g(S_j)``, so an update re-accumulates suffix weights
+only over the slots its reorder rewrote and rescans only the blocks
+that span touched (the compiled kernel in :mod:`repro.core.kernel`).
 That span update is the only way ``Detect`` is computed: a static peel
 enters as one span over every slot, a front-gap regrow carries the
 cached slots along with the sequence, and an empty batch rewrites an
 empty span.
 
 Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update, plus
-``O(span)`` sequential work over the rewritten span (white-run moves
-and the suffix-weight ``cumsum``), plus at most three ``O(n)`` SIMD
-passes for ``Detect`` (shift ``f`` ahead of the span, divide, argmax).
+``O(span)`` sequential work over the rewritten span (white-run moves,
+the suffix-weight re-accumulation and the rescan of its blocks), plus
+``O(n / BLOCK)`` for ``Detect`` to shift the earlier blocks' offsets
+and pick the best block, plus one ``O(BLOCK)`` rescan per block whose
+offset grew since its last scan and whose bound still wins.
 """
 from __future__ import annotations
 
@@ -54,11 +58,15 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
+from repro.core.kernel import ffi, lib
 from repro.core.peel import peel_sequence
 from repro.core.susp import Metric
 
 #: (src, dst, amount) with optional trailing fields ignored by the engine.
 EdgeLike = Tuple
+
+#: Slots per ``Detect`` block; an engine keeps the value it was built with.
+BLOCK = 256
 
 
 class SpadeEngine:
@@ -98,11 +106,18 @@ class SpadeEngine:
         self._lo = 0
         self._hi = 0
         # --- detection state ----------------------------------------------
-        # Aligned with the backing arrays and valid on [_det_lo, _hi):
-        # _F[j] = f(S_j), _G[j] = g(S_j) = _F[j] / _size[j], _size[j] = _hi - j.
+        # _F is aligned with the backing arrays and valid on [_det_lo, _hi).
+        # Block b holds the slots j with (_hi - 1 - j) // _block == b, so
+        # block ids survive head insertions and front-gap regrows; then
+        # f(S_j) = _F[j] + _off[b]. _bmax[b]/_barg[b] are the block's best
+        # g(S_j) and earliest best slot at its last scan, and _pend[b] the
+        # offset it gained since (see repro.core.kernel).
+        self._block = BLOCK
         self._F = np.empty(0, dtype=np.float64)
-        self._G = np.empty(0, dtype=np.float64)
-        self._size = np.empty(0, dtype=np.float64)
+        self._off = np.zeros(0, dtype=np.float64)
+        self._pend = np.zeros(0, dtype=np.float64)
+        self._bmax = np.zeros(0, dtype=np.float64)
+        self._barg = np.zeros(0, dtype=np.int64)
         self._det_lo = 0
         self._best_g = 0.0
         self._community: Set[int] = set()
@@ -283,10 +298,13 @@ class SpadeEngine:
         self._delta = np.empty(pad + n, dtype=np.float64)
         self._delta[pad:] = delta
         self._F = np.empty(pad + n, dtype=np.float64)
-        self._G = np.empty(pad + n, dtype=np.float64)
-        self._size = np.empty(pad + n, dtype=np.float64)
+        n_blocks = -(-(pad + n) // self._block)
+        self._off = np.zeros(n_blocks, dtype=np.float64)
+        self._pend = np.zeros(n_blocks, dtype=np.float64)
+        self._bmax = np.zeros(n_blocks, dtype=np.float64)
+        self._barg = np.zeros(n_blocks, dtype=np.int64)
         self._lo = pad
-        self._hi = self._det_lo = pad + n  # no F/G slot valid yet
+        self._hi = self._det_lo = pad + n  # no F slot valid yet
         self._pos[self._order[pad:]] = np.arange(pad, pad + n, dtype=np.int64)
         self._refresh_detection((self._lo, self._hi))
 
@@ -299,32 +317,36 @@ class SpadeEngine:
         ``span = (first, end)`` is the slot range whose ``Δ`` changed:
         the reorder's rewritten span, or the whole sequence after a
         static peel. ``f(S_j)`` is the sum of ``Δ`` from slot ``j`` to
-        ``_hi``, so slots at or past ``end`` keep ``F`` and ``G``; slots
-        before ``first`` keep their ``Δ`` and shift ``F`` by one constant,
-        the change of ``F[first]``; only ``[first, end)`` is
-        re-accumulated. Slots before ``_det_lo`` (head-inserted vertices,
-        or every slot after a static peel) join the span. An empty span
-        leaves ``F``, ``G`` and ``S^P`` as they stand. The earliest slot
-        wins a tie, as in ``np.argmax`` and
-        :func:`~repro.core.peel.best_community`.
+        ``_hi``, so slots at or past ``end`` keep ``F``; slots before
+        ``first`` keep their ``Δ`` and shift ``F`` by one constant, the
+        change of ``F[first]``, which blocks wholly ahead of the span
+        take as a lazy offset; only ``[first, end)`` is re-accumulated
+        and only its blocks are rescanned. A block whose offset grew
+        since its last scan is rescanned only if its bound could still
+        win. Slots before ``_det_lo`` (head-inserted vertices, or every
+        slot after a static peel) join the span. An empty span leaves
+        the state and ``S^P`` as they stand. The earliest slot wins a
+        tie, as in :func:`~repro.core.peel.best_community`; ``S^P`` is
+        rebuilt only when the winning suffix could have changed.
         """
-        lo, hi, F, det_lo = self._lo, self._hi, self._F, self._det_lo
+        lo, hi, det_lo = self._lo, self._hi, self._det_lo
         first, end = span
         if lo < det_lo:
-            self._size[lo:det_lo] = np.arange(hi - lo, hi - det_lo, -1, dtype=np.float64)
             first, end = lo, max(end, det_lo)
             self._det_lo = lo
         if first >= end:
             return set()  # no slot rewritten (always so for an empty sequence)
-        old = F[first]
-        anchor = F[end] if end < hi else 0.0
-        F[first:end] = np.cumsum(self._delta[first:end][::-1])[::-1] + anchor
-        if first > lo and F[first] != old:
-            F[lo:first] += F[first] - old
-            first = lo
-        np.divide(F[first:end], self._size[first:end], out=self._G[first:end])
-        best = lo + int(np.argmax(self._G[lo:hi]))
-        self._best_g = float(self._G[best])
+        fb = ffi.from_buffer
+        b = lib.detect(
+            fb("double[]", self._F), fb("double[]", self._delta),
+            fb("double[]", self._off), fb("double[]", self._pend),
+            fb("double[]", self._bmax), fb("int64_t[]", self._barg),
+            lo, hi, first, end, self._block,
+        )
+        best = int(self._barg[b])
+        self._best_g = float(self._bmax[b])
+        if hi - best == len(self._community) and end <= best:
+            return set()  # same size, and the reorder wrote only before it
         new_comm = set(map(int, self._order[best:hi]))
         fresh = new_comm - self._community
         self._community = new_comm
@@ -334,6 +356,12 @@ class SpadeEngine:
         """Current fraudulent community and its density (paper ``Detect``)."""
         return self.community_external(), self._best_g
 
+    def _suffix_densities(self) -> np.ndarray:
+        """``g(S_j)`` of every slot, materialised from the block state."""
+        lo, hi = self._lo, self._hi
+        slots = np.arange(lo, hi)
+        return (self._F[lo:hi] + self._off[(hi - 1 - slots) // self._block]) / (hi - slots)
+
     # ------------------------------------------------------------------
     # front-gap management for head insertions of new vertices
     # ------------------------------------------------------------------
@@ -342,14 +370,21 @@ class SpadeEngine:
             return
         pad = max(64, m, (self._hi - self._lo) // 4)
         shift = pad - self._lo + m
-        for name in ("_order", "_delta", "_F", "_G", "_size"):
+        for name in ("_order", "_delta", "_F"):
             old = getattr(self, name)
             grown = np.empty(len(old) + shift, dtype=old.dtype)
             grown[shift:] = old
             setattr(self, name, grown)
+        # Block ids count back from _hi, so existing blocks keep theirs and
+        # the new ones, all ahead of the sequence, start without offsets.
+        extra = -(-len(self._order) // self._block) - len(self._off)
+        for name in ("_off", "_pend", "_bmax", "_barg"):
+            old = getattr(self, name)
+            setattr(self, name, np.concatenate((old, np.zeros(extra, dtype=old.dtype))))
+        self._barg += shift
         self._lo += shift
         self._hi += shift
-        self._det_lo += shift  # F, G and _size moved with their slots
+        self._det_lo += shift  # F and the block state moved with their slots
         self._pos[self._order[self._lo : self._hi]] += shift
 
     def _insert_head(self, vid: int) -> None:

@@ -1,0 +1,201 @@
+"""The engine's compiled kernel: C source, cffi build and cache.
+
+The C source is kept here as a string, so it ships with the package and
+any digest of the package's Python files covers it. At first import it
+is compiled by cffi in a ``sys.executable`` subprocess (the compiler's
+memory never joins the importing process) into ``_build/`` next to this
+file, under a module name keyed by a hash of the source, the compile
+flags and the interpreter's extension-module ABI tag. The finished module is
+published with an atomic rename, so concurrent importers either find a
+whole module or build their own; later imports load the cached one. A
+failed build raises ``ImportError`` carrying the compiler's output.
+
+``detect`` is the engine's ``Detect`` update (see
+:meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
+split into blocks of ``B`` counted backward from ``hi``, so block ``b``
+holds the slots ``j`` with ``(hi - 1 - j) / B == b`` and its shortest
+suffix has ``b*B + 1`` vertices. ``F`` holds ``f(S_j)`` minus the offset
+``off`` of the slot's block; each block keeps ``bmax``/``barg``, its best
+``g`` and earliest best slot as of its last scan, and ``pend``, the
+offset added since that scan. ``detect`` returns the id of the block
+holding the best slot.
+"""
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+
+CDEF = """
+int64_t detect(double *F, const double *delta, double *off, double *pend,
+               double *bmax, int64_t *barg, int64_t lo, int64_t hi,
+               int64_t first, int64_t end, int64_t B);
+"""
+
+SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* First slot of block b: its range is [bottom, hi - b*B). */
+static int64_t bottom(int64_t lo, int64_t hi, int64_t B, int64_t b)
+{
+    int64_t j = hi - (b + 1) * B;
+    return j > lo ? j : lo;
+}
+
+/* Exact best g and earliest best slot of block b; clears its pending offset. */
+static void scan(const double *F, const double *off, double *pend, double *bmax,
+                 int64_t *barg, int64_t lo, int64_t hi, int64_t B, int64_t b)
+{
+    int64_t top = hi - b * B, j = bottom(lo, hi, B, b), arg = j;
+    double o = off[b], best = -INFINITY;
+    for (; j < top; j++) {
+        double g = (F[j] + o) / (double)(hi - j);
+        if (g > best) {
+            best = g;
+            arg = j;
+        }
+    }
+    bmax[b] = best;
+    barg[b] = arg;
+    pend[b] = 0.0;
+}
+
+/* Move block b's offset into its stored F outside [first, end). */
+static void fold(double *F, double *off, int64_t lo, int64_t hi, int64_t B,
+                 int64_t b, int64_t first, int64_t end)
+{
+    int64_t top = hi - b * B, bot = bottom(lo, hi, B, b), j;
+    double o = off[b];
+    if (o == 0.0)
+        return;
+    for (j = bot; j < first && j < top; j++)
+        F[j] += o;
+    for (j = end > bot ? end : bot; j < top; j++)
+        F[j] += o;
+    off[b] = 0.0;
+}
+
+int64_t detect(double *F, const double *delta, double *off, double *pend,
+               double *bmax, int64_t *barg, int64_t lo, int64_t hi,
+               int64_t first, int64_t end, int64_t B)
+{
+    int64_t nb = (hi - lo + B - 1) / B;
+    int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, j;
+    double anchor = end < hi ? F[end] + off[(hi - 1 - end) / B] : 0.0;
+    double old = first > lo ? F[first] + off[bf] : 0.0, s = 0.0;
+
+    /* 1. The span's blocks drop their offsets: the boundary blocks fold
+          theirs into the slots the span does not rewrite. */
+    fold(F, off, lo, hi, B, bf, first, end);
+    if (be != bf)
+        fold(F, off, lo, hi, B, be, first, end);
+    for (b = be + 1; b < bf; b++)
+        off[b] = 0.0;
+
+    /* 2. Re-accumulate f(S_j) over the span, anchored at the true F[end]. */
+    for (j = end - 1; j >= first; j--) {
+        s += delta[j];
+        F[j] = s + anchor;
+    }
+
+    /* 3. Slots ahead of the span shift by the change d of F[first]: the
+          head of the first block directly, earlier blocks lazily. */
+    if (first > lo && F[first] != old) {
+        double d = F[first] - old;
+        for (j = bottom(lo, hi, B, bf); j < first; j++)
+            F[j] += d;
+        for (b = bf + 1; b < nb; b++) {
+            off[b] += d;
+            pend[b] += d;
+        }
+    }
+
+    /* 4. Rescan every block the span touched. */
+    for (b = be; b <= bf; b++)
+        scan(F, off, pend, bmax, barg, lo, hi, B, b);
+
+    /* Query: a block's g can exceed bmax by at most max(pend, 0) over its
+       shortest suffix. Take the highest bound, ties to the earlier slots;
+       a stale winner is rescanned and the query repeats. */
+    for (;;) {
+        int64_t top = 0;
+        double bound = -INFINITY;
+        for (b = 0; b < nb; b++) {
+            double u = bmax[b] + (pend[b] > 0.0 ? pend[b] : 0.0) / (double)(b * B + 1);
+            u += 1e-12 * fabs(u);
+            if (u >= bound) {
+                bound = u;
+                top = b;
+            }
+        }
+        if (pend[top] == 0.0)
+            return top;
+        scan(F, off, pend, bmax, barg, lo, hi, B, top);
+    }
+}
+"""
+
+FLAGS = ["-O2", "-ffp-contract=off"]
+
+_BUILD_DIR = Path(__file__).with_name("_build")
+
+# Runs in the subprocess: reads the build request as JSON on stdin and
+# leaves the compiled module in the given temporary directory.
+_COMPILE = """
+import json, sys
+import cffi
+req = json.load(sys.stdin)
+ffi = cffi.FFI()
+ffi.cdef(req["cdef"])
+ffi.set_source(req["name"], req["source"], extra_compile_args=req["flags"])
+print(ffi.compile(tmpdir=req["tmpdir"]))
+"""
+
+
+def _key(source: str, cdef: str = CDEF) -> str:
+    """Cache key: the source, its declarations, the flags and the ABI tag."""
+    h = hashlib.sha256()
+    for part in (source, cdef, " ".join(FLAGS), sysconfig.get_config_var("EXT_SUFFIX")):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()[:20]
+
+
+def _build(source: str = SOURCE, cdef: str = CDEF) -> Path:
+    """Path of the compiled module for ``source``, compiling it if absent."""
+    name = f"_spade_kernel_{_key(source, cdef)}"
+    target = _BUILD_DIR / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+    if target.exists():
+        return target
+    _BUILD_DIR.mkdir(exist_ok=True)
+    tmpdir = tempfile.mkdtemp(prefix=name + ".", dir=_BUILD_DIR)
+    try:
+        request = {"name": name, "cdef": cdef, "source": source, "flags": FLAGS,
+                   "tmpdir": tmpdir}
+        done = subprocess.run([sys.executable, "-c", _COMPILE], input=json.dumps(request),
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise ImportError(f"building the engine kernel failed:\n{done.stdout}{done.stderr}")
+        os.replace(done.stdout.strip().splitlines()[-1], target)
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+    return target
+
+
+def _load(path: Path):
+    """Import a compiled module by path; returns its ``(ffi, lib)``."""
+    spec = importlib.util.spec_from_file_location(path.name.split(".")[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ffi, module.lib
+
+
+ffi, lib = _load(_build())

@@ -58,7 +58,7 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     i_eng = n - len(comm)
     assert set(order[i_eng:]) == comm, "community is not a sequence suffix"
     assert g_all[i_eng] >= g_max - tol, "community does not achieve max density"
-    G = eng._G[eng._lo : eng._hi]
+    G = eng._suffix_densities()
     assert np.all(np.abs(G - g_all) <= 1e-9 * np.maximum(1.0, np.abs(g_all))), (
         "cached suffix densities drifted from a fresh computation"
     )

@@ -32,7 +32,7 @@ def assert_detect_matches_full(eng: SpadeEngine) -> None:
     i, g = best_community(order, d, eng.f_total)
     f = eng.f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
     g_all = f / np.arange(hi - lo, 0, -1, dtype=np.float64)
-    np.testing.assert_allclose(eng._G[lo:hi], g_all, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(eng._suffix_densities(), g_all, rtol=1e-9, atol=1e-9)
     assert eng.best_density == pytest.approx(g, rel=1e-9, abs=1e-9)
     assert eng._community == set(map(int, order[i:]))
     assert_engine_valid(eng)
@@ -128,7 +128,8 @@ class TestSpanBookkeeping:
 
 
 def _state(eng: SpadeEngine) -> tuple:
-    arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._G, eng._size)
+    arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._pend, eng._bmax,
+              eng._barg)
     return (
         copy.deepcopy(eng._adj), list(eng._in_deg), list(eng._w0), list(eng._a),
         dict(eng._vid_of), eng.f_total, eng.n_edges, eng._lo, eng._hi, eng._det_lo,
