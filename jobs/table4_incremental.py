@@ -14,13 +14,22 @@ paper's workflow (every insertion returns the new fraudster set). The
 |ΔE|=1 replay is capped at ``--max-single`` edges to bound job time;
 the cap is recorded in the output.
 
-Run: ``python jobs/table4_incremental.py [--quick]``.
+Run: ``python jobs/table4_incremental.py [--quick] [--json PATH]``.
+``--json`` appends one record to the JSON list at ``PATH`` (created if
+absent): the run's rows, the git sha of the checkout, whether ``src/``
+differs from that commit, the CPU count and the command line.
+``BENCH_table4.json`` is that trajectory for ``--quick`` runs.
 """
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import subprocess
+import sys
 import time
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Tuple
 
 import pandas as pd
 
@@ -81,19 +90,52 @@ def run(
     return pd.DataFrame(rows)
 
 
-def main() -> None:
+def _checkout() -> Tuple[Optional[str], Optional[bool]]:
+    """The checkout's HEAD sha and whether ``src/`` differs from it."""
+    root = Path(__file__).resolve().parents[1]
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True)
+        if head.returncode != 0:
+            return None, None
+        diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=root)
+    except OSError:  # no git executable
+        return None, None
+    return head.stdout.strip(), diff.returncode != 0
+
+
+def append_json(path: str, df: pd.DataFrame, command: List[str]) -> None:
+    """Append one run's rows and provenance to the JSON list at ``path``."""
+    sha, src_modified = _checkout()
+    target = Path(path)
+    records = json.loads(target.read_text()) if target.exists() else []
+    records.append({
+        "git_sha": sha,
+        "src_modified": src_modified,
+        "cpus": os.cpu_count(),
+        "command": command,
+        "rows": df.to_dict(orient="records"),
+    })
+    target.write_text(json.dumps(records, indent=1) + "\n")
+
+
+def main(argv: Optional[List[str]] = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="small subset, 0.2x scale")
     ap.add_argument("--scale", type=float, default=1.0)
     ap.add_argument("--max-single", type=int, default=5_000)
     ap.add_argument("--datasets", nargs="*", default=None)
-    args = ap.parse_args()
+    ap.add_argument("--json", metavar="PATH", help="append the rows to this JSON list")
+    args = ap.parse_args(argv)
     if args.quick:
         df = run(["grab1_lite", "wikivote_lite"], scale=0.2, max_single=1_000)
     else:
         df = run(args.datasets, scale=args.scale, max_single=args.max_single)
     print("\n== Table 4: static (s) vs incremental per-edge (us) by batch size ==")
     print(df.to_string(index=False))
+    if args.json:
+        command = sys.argv[1:] if argv is None else argv
+        append_json(args.json, df, ["jobs/table4_incremental.py", *command])
 
 
 if __name__ == "__main__":

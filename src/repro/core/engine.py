@@ -28,10 +28,11 @@ graph — identical to a static rerun up to tie-breaking. New vertices
 are head-inserted with ``Δ_0 = 0`` (paper §4.1), the only sound lower
 bound for a slot with no greedy history. White frontier vertices have
 ``w = Δ_slot[k]`` exactly (no neighbor ever entered ``T``), so runs of
-whites are emitted *in bulk* with a vectorized scan for the first
-``Δ > Δ_min`` — the python-level loop touches only the affected area
-``G_T`` (T entries, pops, and gray recoveries), which is what makes
-per-edge maintenance orders of magnitude faster than a scratch peel.
+whites are emitted *in bulk*: the compiled ``white_run`` scans forward
+to the first ``Δ >= Δ_min`` and moves the run down to the output slot in
+one call. The python-level loop touches only the affected area ``G_T``
+(T entries, pops, and gray recoveries), which is what makes per-edge
+maintenance orders of magnitude faster than a scratch peel.
 
 Emissions are written back in place as the frontier advances, and
 ``Detect`` keeps ``f(S_j)`` per slot under per-block lazy offsets and
@@ -43,9 +44,10 @@ enters as one span over every slot, a front-gap regrow carries the
 cached slots along with the sequence, and an empty batch rewrites an
 empty span.
 
-Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update, plus
-``O(span)`` sequential work over the rewritten span (white-run moves,
-the suffix-weight re-accumulation and the rescan of its blocks), plus
+Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update in
+Python, plus one kernel call per white run, plus ``O(span)`` sequential
+work in C over the rewritten span (the white-run scans and moves, the
+suffix-weight re-accumulation and the rescan of its blocks), plus
 ``O(n / BLOCK)`` for ``Detect`` to shift the earlier blocks' offsets
 and pick the best block, plus one ``O(BLOCK)`` rescan per block whose
 offset grew since its last scan and whose bound still wins.
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -123,6 +126,7 @@ class SpadeEngine:
         self._community: Set[int] = set()
         # --- edge grouping -------------------------------------------------
         self._benign_buffer: List[EdgeLike] = []
+        self._buffered_in: Counter = Counter()  # buffered edges per object vertex
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -173,6 +177,7 @@ class SpadeEngine:
         edges: Sequence[EdgeLike],
         priors: Dict[Hashable, Optional[float]],
         edge_weights: Optional[Sequence[float]] = None,
+        queued: Optional[Dict[Hashable, int]] = None,
     ) -> Tuple[List[float], Dict[Hashable, float]]:
         """Validate a whole batch against the current graph, mutating nothing.
 
@@ -180,8 +185,9 @@ class SpadeEngine:
         suspiciousness of every endpoint the graph does not hold yet, in
         first-seen order. ``c`` is ``esusp`` at the in-degree the object
         vertex will have once this edge is in (the batch's earlier edges
-        included), matching Fraudar's weighting of the final graph when
-        edges arrive one at a time; ``edge_weights[i]`` overrides it.
+        and ``queued[dst]`` edges applied before the batch included),
+        matching Fraudar's weighting of the final graph when edges arrive
+        one at a time; ``edge_weights[i]`` overrides it.
         Raises ``ValueError`` on an ``edge_weights`` whose length differs
         from the batch's, a ``None`` or NaN endpoint, a self-loop, a
         non-finite amount, or a weight outside Property 3.1, so a
@@ -213,6 +219,8 @@ class SpadeEngine:
             if deg is None:
                 vid = vid_of.get(dst)
                 deg = self._in_deg[vid] if vid is not None else 0
+                if queued:
+                    deg += queued.get(dst, 0)
             in_deg[dst] = deg = deg + 1
             if edge_weights is None:
                 c = float(metric.esusp(amount, deg))
@@ -422,6 +430,13 @@ class SpadeEngine:
             self._adj,
             self._a,
         )
+        # The kernel's views of the slot arrays; nothing reallocates them
+        # during a reorder.
+        fb = ffi.from_buffer
+        c_order, c_delta, c_pos = (
+            fb("int64_t[]", order), fb("double[]", delta), fb("int64_t[]", pos)
+        )
+        white_run = lib.white_run
         end = self._hi
         black_pos = sorted(int(pos[v]) for v in black)
         bi = 0
@@ -535,23 +550,14 @@ class SpadeEngine:
                 continue
             # Case 2(b): white frontier vertex — its stored Δ is exact;
             # emit it, and extend to the whole run of whites whose Δ
-            # stays strictly below Δ_min (vectorized scan instead of a
-            # python walk; at Δ = Δ_min the pop branch takes over).
+            # stays strictly below Δ_min (at Δ = Δ_min the pop branch
+            # takes over). The kernel scans the run and moves it to
+            # ``out``; the run stops at the next black or gray slot.
             while gray_heap and gray_heap[0] <= k:
                 heapq.heappop(gray_heap)
             nb = black_pos[bi] if bi < len(black_pos) else end
             ng = gray_heap[0] if gray_heap else end
-            limit = min(nb, ng, end)
-            if limit <= k + 1:
-                event = k + 1
-            else:
-                exceed = np.flatnonzero(delta[k + 1 : limit] >= dmin)
-                event = (k + 1 + int(exceed[0])) if len(exceed) else limit
-            if out != k:
-                m = event - k
-                order[out : out + m] = order[k:event]
-                delta[out : out + m] = delta[k:event]
-                pos[order[out : out + m]] = np.arange(out, out + m, dtype=np.int64)
+            event = white_run(c_order, c_delta, c_pos, k, out, min(nb, ng, end), dmin)
             out += event - k
             k = event
         return (first, stop) if first is not None else (end, end)
@@ -623,20 +629,34 @@ class SpadeEngine:
         optional ``max_buffer`` bounds the buffer so purely-benign
         streams still flush periodically (the paper's buffer is flushed
         by urgent edges; Table 5's grouping rows accumulate >1K edges).
-        The edge is validated on arrival, so a buffered edge cannot make
-        a later flush reject the whole buffer.
+        The edge is validated on arrival at the in-degree its object
+        vertex will have when the buffer is flushed, so the buffered edges
+        pass their flush's validation unless the graph changed in
+        between. A call that raises leaves the graph, the sequence and
+        the buffer as they were.
         """
-        self._weigh([(src, dst, amount)], {})
+        self._weigh([(src, dst, amount)], {}, queued=self._buffered_in)
         urgent = not self.is_benign(src, dst, amount)
         self._benign_buffer.append((src, dst, amount))
+        self._buffered_in[dst] += 1
         if urgent or (max_buffer is not None and len(self._benign_buffer) >= max_buffer):
-            return self.flush_buffer()
+            try:
+                return self.flush_buffer()
+            except ValueError:
+                self._benign_buffer.pop()
+                self._buffered_in[dst] -= 1
+                raise
         return set()
 
     def flush_buffer(self) -> Set[Hashable]:
-        """Force-apply any buffered benign edges (end-of-stream flush)."""
+        """Force-apply any buffered benign edges (end-of-stream flush).
+
+        The buffer is emptied only once its batch is applied: a rejected
+        flush raises ``ValueError`` and keeps every buffered edge.
+        """
         if not self._benign_buffer:
             return set()
-        batch = self._benign_buffer
+        fresh = self.insert_batch(self._benign_buffer)
         self._benign_buffer = []
-        return self.insert_batch(batch)
+        self._buffered_in.clear()
+        return fresh

@@ -10,7 +10,8 @@ published with an atomic rename, so concurrent importers either find a
 whole module or build their own; later imports load the cached one. A
 failed build raises ``ImportError`` carrying the compiler's output.
 
-``detect`` is the engine's ``Detect`` update (see
+The kernel has two entry points. ``detect`` is the engine's ``Detect``
+update (see
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
 split into blocks of ``B`` counted backward from ``hi``, so block ``b``
 holds the slots ``j`` with ``(hi - 1 - j) / B == b`` and its shortest
@@ -19,6 +20,14 @@ suffix has ``b*B + 1`` vertices. ``F`` holds ``f(S_j)`` minus the offset
 ``g`` and earliest best slot as of its last scan, and ``pend``, the
 offset added since that scan. ``detect`` returns the id of the block
 holding the best slot.
+
+``white_run`` is the reorder's Case 2(b) (see
+:meth:`~repro.core.engine.SpadeEngine._reorder`): it emits the white
+frontier slot ``k`` and every later slot below ``limit`` whose ``Δ`` is
+below ``dmin``, stopping at the first ``Δ >= dmin``. When ``out < k`` it
+moves those slots down to start at ``out`` and rewrites ``pos`` for
+them. It returns the first slot it did not emit. The T queue, the gray
+heap and every other branch of the reorder stay in Python.
 """
 from __future__ import annotations
 
@@ -37,6 +46,8 @@ CDEF = """
 int64_t detect(double *F, const double *delta, double *off, double *pend,
                double *bmax, int64_t *barg, int64_t lo, int64_t hi,
                int64_t first, int64_t end, int64_t B);
+int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
+                  int64_t out, int64_t limit, double dmin);
 """
 
 SOURCE = r"""
@@ -140,6 +151,25 @@ int64_t detect(double *F, const double *delta, double *off, double *pend,
             return top;
         scan(F, off, pend, bmax, barg, lo, hi, B, top);
     }
+}
+
+int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
+                  int64_t out, int64_t limit, double dmin)
+{
+    int64_t event = k + 1, j;
+
+    /* Slot k is emitted; the run extends while the next slot below limit
+       has a Δ below dmin. */
+    while (event < limit && delta[event] < dmin)
+        event++;
+    /* out < k: a forward copy reads each slot before any write lands on it. */
+    if (out != k)
+        for (j = k; j < event; j++, out++) {
+            order[out] = order[j];
+            delta[out] = delta[j];
+            pos[order[out]] = out;
+        }
+    return event;
 }
 """
 

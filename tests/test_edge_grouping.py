@@ -1,7 +1,7 @@
 """Edge grouping (§4.3): Definition 4.1, Lemmas 4.3/4.4, buffer semantics."""
 import pytest
 
-from repro.core import DG, DW, FD, SpadeEngine
+from repro.core import DG, DW, FD, Metric, SpadeEngine
 from tests.helpers import assert_engine_valid, random_edges
 
 METRICS = [DG, DW, FD]
@@ -130,6 +130,55 @@ class TestGroupedInsertion:
         for e in edges[10:]:
             eng.insert_grouped(*e, max_buffer=6)
         eng.flush_buffer()
+        assert_engine_valid(eng)
+
+
+#: Edge weights fall with the object degree and leave Property 3.1 at 3.
+FALLING = Metric("FALLING", vsusp=lambda prior: float(prior),
+                 esusp=lambda amount, deg: 3.0 - deg)
+
+
+class TestBufferValidation:
+    """A buffered edge is weighed at its flush degree; a failed flush keeps the buffer."""
+
+    def _engine(self):
+        eng = SpadeEngine(FALLING)
+        eng.bulk_load([("a", "b", 1.0)], priors={"a": 100.0, "b": 100.0})
+        assert eng.is_benign("x1", "m")  # g(S^P) = 101
+        return eng
+
+    @staticmethod
+    def _state(eng):
+        return (eng.n_edges, eng.f_total, eng.order_external(), eng.deltas().tobytes(),
+                eng.best_density, list(eng._benign_buffer))
+
+    def test_edge_rejected_at_the_degree_it_would_flush_at(self):
+        eng = self._engine()
+        eng.insert_grouped("x1", "m")  # flushes at degree 1: c = 2
+        eng.insert_grouped("x2", "m")  # degree 2: c = 1
+        before = self._state(eng)
+        with pytest.raises(ValueError, match="edge suspiciousness"):
+            eng.insert_grouped("x3", "m")  # degree 3: c = 0
+        assert self._state(eng) == before
+        assert eng.buffered_edges == 2
+        eng.flush_buffer()
+        assert eng.n_edges == 3 and eng.buffered_edges == 0
+        assert_engine_valid(eng)
+
+    def test_rejected_flush_keeps_the_buffer(self):
+        eng = self._engine()
+        eng.insert_grouped("x1", "m")
+        eng.insert_grouped("x2", "m")
+        eng.insert_edge("y", "m")  # the flush would now weigh x2 -> m at degree 3
+        before = self._state(eng)
+        with pytest.raises(ValueError, match="edge suspiciousness"):
+            eng.flush_buffer()
+        assert self._state(eng) == before
+        # An urgent edge's flush fails the same way and drops only that edge.
+        assert not eng.is_benign("a", "z")
+        with pytest.raises(ValueError, match="edge suspiciousness"):
+            eng.insert_grouped("a", "z")
+        assert self._state(eng) == before
         assert_engine_valid(eng)
 
 

@@ -1,4 +1,5 @@
 """Smoke tests: each table job produces its rows at tiny scale."""
+import json
 import sys
 from pathlib import Path
 
@@ -55,6 +56,22 @@ class TestTable4:
         # Batching reduces (or at least does not blow up) per-edge time.
         assert row["IncDG-10000_us"] <= row["IncDG-1_us"]
 
+    def test_json_appends_rows_and_provenance(self, tmp_path):
+        path = tmp_path / "bench.json"
+        argv = ["--datasets", "grab1_lite", "--scale", "0.03", "--max-single", "50",
+                "--json", str(path)]
+        table4_incremental.main(argv)
+        table4_incremental.main(argv)
+        records = json.loads(path.read_text())
+        assert len(records) == 2
+        for rec in records:
+            assert rec["command"] == ["jobs/table4_incremental.py", *argv]
+            assert rec["git_sha"] is None or len(rec["git_sha"]) == 40
+            assert isinstance(rec["src_modified"], (bool, type(None)))
+            [row] = rec["rows"]
+            assert row["dataset"] == "grab1_lite"
+            assert row["IncDW-1_us"] > 0 and row["FD_static_s"] > 0
+
 
 class TestTable5:
     def test_metrics_present_and_sane(self):
@@ -69,3 +86,4 @@ class TestTable5:
             # Edge grouping responds to fraud faster than batching.
             assert row[f"Inc{m}G_L"] <= row[f"Inc{m}-1K_L"] + 1e-9
             assert 0 <= row[f"{m}_urgent_frac"] <= 1
+

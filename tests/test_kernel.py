@@ -1,10 +1,14 @@
-"""The compiled kernel's build cache: reuse, keying and build failures."""
+"""The compiled kernel: its build cache, and ``white_run`` against numpy."""
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernel
 
@@ -40,3 +44,68 @@ def test_failed_build_raises_with_compiler_output():
         kernel._build("int broken(void) { return }", "int broken(void);")
     leftovers = [p for p in kernel._BUILD_DIR.iterdir() if p.is_dir()]
     assert leftovers == [], "a failed build left its temporary directory behind"
+
+
+def white_run_reference(order, delta, pos, k, out, limit, dmin):
+    """The numpy scan-and-shift that ``white_run`` replaced in ``_reorder``."""
+    if limit <= k + 1:
+        event = k + 1
+    else:
+        exceed = np.flatnonzero(delta[k + 1 : limit] >= dmin)
+        event = (k + 1 + int(exceed[0])) if len(exceed) else limit
+    if out != k:
+        m = event - k
+        order[out : out + m] = order[k:event]
+        delta[out : out + m] = delta[k:event]
+        pos[order[out : out + m]] = np.arange(out, out + m, dtype=np.int64)
+    return event
+
+
+@st.composite
+def white_runs(draw):
+    """A sequence and a frontier ``k`` with ``out <= k``; Δ values repeat often."""
+    n = draw(st.integers(1, 24))
+    order = draw(st.permutations(range(n)))
+    delta = draw(st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    out = draw(st.integers(0, k))
+    limit = draw(st.integers(0, n))
+    dmin = draw(st.one_of(st.just(math.inf), st.sampled_from(delta),
+                          st.floats(-1.0, 5.0, allow_nan=False)))
+    return order, delta, k, out, limit, dmin
+
+
+@settings(max_examples=300, deadline=None)
+@given(white_runs())
+# dmin = inf: the run reaches limit = end
+@example(([2, 0, 3, 1], [0.0, 1.0, 2.0, 3.0], 0, 0, 4, math.inf))
+# dmin equals a stored Δ: equality stops the run
+@example(([0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 2.0, 1.0], 1, 0, 5, 2.0))
+# limit <= k + 1: only slot k is emitted, in place or moved
+@example(([0, 1, 2], [0.0, 1.0, 2.0], 2, 0, 2, math.inf))
+@example(([0, 1, 2], [0.0, 1.0, 2.0], 1, 1, 1, math.inf))
+# out < k with the moved range overlapping its source
+@example(([6, 5, 4, 3, 2, 1, 0], [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0], 2, 1, 7, 4.0))
+def test_white_run_matches_numpy_reference(case):
+    order, delta, k, out, limit, dmin = case
+    n = len(order)
+    order = np.array(order, dtype=np.int64)
+    delta = np.array(delta, dtype=np.float64)
+    pos = np.full(n + 3, -7, dtype=np.int64)  # vids past n are not in the sequence
+    pos[order] = np.arange(n)
+    before = [order.copy(), delta.copy(), pos.copy()]
+    want = [x.copy() for x in before]
+    want_event = white_run_reference(*want, k, out, limit, dmin)
+    fb = kernel.ffi.from_buffer
+    event = kernel.lib.white_run(fb("int64_t[]", order), fb("double[]", delta),
+                                 fb("int64_t[]", pos), k, out, limit, dmin)
+    assert event == want_event
+    for got, exp in zip((order, delta, pos), want):
+        np.testing.assert_array_equal(got, exp)
+    moved = np.zeros(n, dtype=bool)
+    moved[out : out + event - k] = out != k
+    for got, old in zip((order, delta), before):
+        np.testing.assert_array_equal(got[~moved], old[~moved])
+    kept = np.ones(n + 3, dtype=bool)
+    kept[order[moved]] = False
+    np.testing.assert_array_equal(pos[kept], before[2][kept])
