@@ -3,7 +3,7 @@
 For every dataset and every metric (DG/DW/FD) this harness measures:
 
 * the static from-scratch peeling time (the paper's columns 2-4,
-  seconds per detection) on the full graph;
+  seconds per detection) on the full graph, the median of five peels;
 * the average per-edge time (µs) of the Spade engine replaying the
   timestamp-ordered increments with batch sizes |ΔE| ∈
   {1, 10, 100, 1K, 10K} — 10K standing in for the paper's 100K at the
@@ -27,30 +27,18 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 import pandas as pd
 
 from repro.core import SpadeEngine, metric_by_name
-from repro.core.peel import peel
 from repro.datasets import PRESETS, edge_rows, load_preset
 from repro.datasets.generator import GraphData
-from repro.spark.streaming import replay
+from repro.spark.streaming import replay, static_time
 
 BATCH_SIZES = [1, 10, 100, 1_000, 10_000]
 METRICS = ["DG", "DW", "FD"]
-
-
-def static_time(data: GraphData, metric_name: str) -> float:
-    """Seconds for one from-scratch detection on the *full* graph."""
-    eng = SpadeEngine(metric_by_name(metric_name))
-    eng.bulk_load(edge_rows(data.edges), priors=data.priors)
-    n, adj, a = eng.snapshot_graph()
-    t0 = time.perf_counter()
-    peel(n, adj, a)
-    return time.perf_counter() - t0
 
 
 def incremental_per_edge_us(
@@ -79,7 +67,7 @@ def run(
         data = load_preset(name, scale=scale)
         row = {"dataset": name, "inc_edges": len(data.increments)}
         for m in METRICS:
-            row[f"{m}_static_s"] = round(static_time(data, m), 3)
+            row[f"{m}_static_s"] = round(static_time(data, metric_by_name(m)), 4)
         for b in BATCH_SIZES:
             cap = max_single if b == 1 else None
             for m in METRICS:

@@ -22,25 +22,27 @@ rescaled so the mean inter-arrival equals ``static_time / 1000`` —
 i.e. a 1K batch fills in about one static detection period, the
 operating point of the paper's Grab streams (1M increments against a
 12-28 s detector). Without a rate anchor the latency normalization
-would be an artifact of the synthetic stream duration.
+would be an artifact of the synthetic stream duration. The anchor is
+the median of five compiled peels
+(:func:`repro.spark.streaming.static_time`), the same peel the engine
+starts from. It is still a measured time, so ℒ and ℛ differ between
+identical runs (EXPERIMENTS.md, Table 5).
 
 Run: ``python jobs/table5_grouping.py [--quick]``.
 """
 from __future__ import annotations
 
 import argparse
-import time
 from typing import List, Optional
 
 import numpy as np
 import pandas as pd
 
 from repro.core import SpadeEngine, metric_by_name
-from repro.core.peel import peel
 from repro.core.sim import prevention_ratio, simulate_flushes, simulate_static
 from repro.datasets import edge_rows, load_preset
 from repro.datasets.generator import GraphData
-from repro.spark.streaming import replay, replay_grouped
+from repro.spark.streaming import replay, replay_grouped, static_time
 
 GRAB_SETS = ["grab1_lite", "grab2_lite", "grab3_lite", "grab4_lite"]
 METRICS = ["DG", "DW", "FD"]
@@ -105,12 +107,7 @@ def run(
         for m in METRICS:
             metric = metric_by_name(m)
             # --- static ε: scratch peel per detection --------------------
-            eng = SpadeEngine(metric)
-            eng.bulk_load(edge_rows(data.edges), priors=data.priors)
-            n, adj, a = eng.snapshot_graph()
-            t0 = time.perf_counter()
-            peel(n, adj, a)
-            static_s = time.perf_counter() - t0
+            static_s = static_time(data, metric)
             arrivals = _calibrated_arrivals(data, static_s, batch)
 
             # --- Inc-1K batch replay ------------------------------------
@@ -152,7 +149,7 @@ def run(
             L_static = L(sim_s)
             row.update(
                 {
-                    f"{m}_static_eps_s": round(static_s, 3),
+                    f"{m}_static_eps_s": round(static_s, 4),
                     f"Inc{m}-1K_eps_us": round(res_b.per_edge_us, 1),
                     f"Inc{m}G_eps_us": round(res_g.per_edge_us, 1),
                     f"Inc{m}-1K_L": round(L(sim_b) / L_static, 4),

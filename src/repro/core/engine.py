@@ -50,7 +50,11 @@ work in C over the rewritten span (the white-run scans and moves, the
 suffix-weight re-accumulation and the rescan of its blocks), plus
 ``O(n / BLOCK)`` for ``Detect`` to shift the earlier blocks' offsets
 and pick the best block, plus one ``O(BLOCK)`` rescan per block whose
-offset grew since its last scan and whose bound still wins.
+offset grew since its last scan and whose bound still wins. Both update
+paths apply their edges in one Python loop (``_add_edges``). A
+``bulk_load`` then runs the static peel of
+:func:`~repro.core.peel.peel_sequence`: an ``O(|E|)`` CSR build in
+Python and the ``O(|E| log |V|)`` heap loop in C.
 """
 from __future__ import annotations
 
@@ -253,17 +257,29 @@ class SpadeEngine:
         self._pos[vid] = -1
         return vid
 
-    def _add_edge(self, src: Hashable, dst: Hashable, c: float) -> Tuple[int, int]:
-        """Accumulate a validated edge into the combined adjacency."""
-        u, v = self._vid_of[src], self._vid_of[dst]
-        self._adj[u][v] = self._adj[u].get(v, 0.0) + c
-        self._adj[v][u] = self._adj[v].get(u, 0.0) + c
-        self._w0[u] += c
-        self._w0[v] += c
-        self._in_deg[v] += 1
-        self._f_total += c
-        self._n_edges += 1
-        return u, v
+    def _add_edges(self, edges: Sequence[EdgeLike], cs: Sequence[float]) -> Set[int]:
+        """Accumulate validated edges into the combined adjacency.
+
+        Returns the vids of their endpoints. ``f_total`` is accumulated
+        edge by edge, in batch order.
+        """
+        vid_of, adj, w0, in_deg = self._vid_of, self._adj, self._w0, self._in_deg
+        f_total = self._f_total
+        ends: Set[int] = set()
+        for e, c in zip(edges, cs):
+            u, v = vid_of[e[0]], vid_of[e[1]]
+            adj_u, adj_v = adj[u], adj[v]
+            adj_u[v] = adj_u.get(v, 0.0) + c
+            adj_v[u] = adj_v.get(u, 0.0) + c
+            w0[u] += c
+            w0[v] += c
+            in_deg[v] += 1
+            f_total += c
+            ends.add(u)
+            ends.add(v)
+        self._f_total = f_total
+        self._n_edges += len(cs)
+        return ends
 
     # ------------------------------------------------------------------
     # bulk load + static peel (initialization path)
@@ -287,8 +303,7 @@ class SpadeEngine:
         cs, new_a = self._weigh(edges, priors or {}, edge_weights)
         for ext, a in new_a.items():
             self._intern(ext, a)
-        for e, c in zip(edges, cs):
-            self._add_edge(e[0], e[1], c)
+        self._add_edges(edges, cs)
         del cs, new_a  # free the validation temporaries before the peel's own peak
         self._rebuild_sequence()
 
@@ -591,10 +606,7 @@ class SpadeEngine:
         cs, new_a = self._weigh(edges, priors or {})
         for ext, a in new_a.items():
             self._insert_head(self._intern(ext, a))
-        black: Set[int] = set()
-        for e, c in zip(edges, cs):
-            black.update(self._add_edge(e[0], e[1], c))
-        return self._refresh_detection(self._reorder(black))
+        return self._refresh_detection(self._reorder(self._add_edges(edges, cs)))
 
     # ------------------------------------------------------------------
     # edge grouping (§4.3)

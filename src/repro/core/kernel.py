@@ -10,7 +10,7 @@ published with an atomic rename, so concurrent importers either find a
 whole module or build their own; later imports load the cached one. A
 failed build raises ``ImportError`` carrying the compiler's output.
 
-The kernel has two entry points. ``detect`` is the engine's ``Detect``
+The kernel has three entry points. ``detect`` is the engine's ``Detect``
 update (see
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
 split into blocks of ``B`` counted backward from ``hi``, so block ``b``
@@ -28,6 +28,13 @@ below ``dmin``, stopping at the first ``Δ >= dmin``. When ``out < k`` it
 moves those slots down to start at ``out`` and rewrites ``pos`` for
 them. It returns the first slot it did not emit. The T queue, the gray
 heap and every other branch of the reorder stay in Python.
+
+``peel`` is the static greedy peel (Algorithm 1, see
+:func:`~repro.core.peel.peel_sequence`) over a CSR adjacency: a binary
+min-heap on ``(w, vid)`` with lazy deletion, filling ``order`` and
+``delta``. ``w`` and ``removed`` are ``n`` long and the heap arrays
+``hw``/``hv`` hold ``n + ptr[n]`` entries; the caller checks that every
+neighbour id lies in ``[0, n)``.
 """
 from __future__ import annotations
 
@@ -48,6 +55,9 @@ int64_t detect(double *F, const double *delta, double *off, double *pend,
                int64_t first, int64_t end, int64_t B);
 int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
                   int64_t out, int64_t limit, double dmin);
+void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
+          const double *a, int64_t *order, double *delta, double *w, double *hw,
+          int64_t *hv, uint8_t *removed);
 """
 
 SOURCE = r"""
@@ -170,6 +180,90 @@ int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
             pos[order[out]] = out;
         }
     return event;
+}
+
+/* Heap entry i orders before entry j: (w, vid) compared as a tuple. */
+static int before(const double *hw, const int64_t *hv, int64_t i, int64_t j)
+{
+    return hw[i] < hw[j] || (hw[i] == hw[j] && hv[i] < hv[j]);
+}
+
+static void swap(double *hw, int64_t *hv, int64_t i, int64_t j)
+{
+    double tw = hw[i];
+    int64_t tv = hv[i];
+    hw[i] = hw[j];
+    hv[i] = hv[j];
+    hw[j] = tw;
+    hv[j] = tv;
+}
+
+static void sift_down(double *hw, int64_t *hv, int64_t size, int64_t i)
+{
+    for (;;) {
+        int64_t l = 2 * i + 1, m = i;
+        if (l < size && before(hw, hv, l, m))
+            m = l;
+        if (l + 1 < size && before(hw, hv, l + 1, m))
+            m = l + 1;
+        if (m == i)
+            return;
+        swap(hw, hv, i, m);
+        i = m;
+    }
+}
+
+void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
+          const double *a, int64_t *order, double *delta, double *w, double *hw,
+          int64_t *hv, uint8_t *removed)
+{
+    int64_t size = n, k = 0, v, i, j;
+
+    /* w_v(S_0) = a_v + the incident weights, summed in adjacency order. */
+    for (v = 0; v < n; v++) {
+        double s = 0.0;
+        for (j = ptr[v]; j < ptr[v + 1]; j++)
+            s += c[j];
+        w[v] = a[v] + s;
+        hw[v] = w[v];
+        hv[v] = v;
+        removed[v] = 0;
+    }
+    for (i = n / 2 - 1; i >= 0; i--)
+        sift_down(hw, hv, size, i);
+
+    /* Pop the least (w, vid); an entry is stale once its vertex is removed
+       or its weight has dropped since the push (lazy deletion). Every live
+       entry is a distinct (w, vid), so the pop order is that of any exact
+       min-heap on the same entries. The heap holds at most n + ptr[n]. */
+    while (size > 0) {
+        double wv = hw[0];
+        v = hv[0];
+        size--;
+        hw[0] = hw[size];
+        hv[0] = hv[size];
+        sift_down(hw, hv, size, 0);
+        if (removed[v] || wv != w[v])
+            continue;
+        removed[v] = 1;
+        order[k] = v;
+        delta[k] = wv;
+        k++;
+        for (j = ptr[v]; j < ptr[v + 1]; j++) {
+            int64_t u = nbr[j];
+            if (removed[u])
+                continue;
+            w[u] -= c[j];
+            /* Push (w[u], u) and sift it up. */
+            i = size++;
+            hw[i] = w[u];
+            hv[i] = u;
+            while (i > 0 && before(hw, hv, i, (i - 1) / 2)) {
+                swap(hw, hv, i, (i - 1) / 2);
+                i = (i - 1) / 2;
+            }
+        }
+    }
 }
 """
 

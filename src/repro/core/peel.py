@@ -7,17 +7,23 @@ peeling weight ``w_u(S)`` (Eq. 2). It returns the full peeling
 sequence ``O`` and the per-step weight drops ``Δ``; ``best_community``
 then recovers ``argmax_i g(S_i)`` from ``Δ`` and the total weight.
 
-This is the from-scratch baseline (DG/DW/FD of Table 4) and the
-reference implementation the incremental engine is tested against.
-Ties are broken deterministically by ``(weight, vertex id)``.
+This is the from-scratch baseline (DG/DW/FD of Table 4) and the peel
+``SpadeEngine.bulk_load`` starts from. The loop itself is the compiled
+``peel`` of :mod:`repro.core.kernel`; this module lays the adjacency
+out as CSR and checks it. Ties are broken deterministically by
+``(weight, vertex id)``. The engine is checked against
+:func:`~repro.core.validate.validate_peeling` and a pure-Python heap
+peel kept with the tests.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.kernel import ffi, lib
 
 
 @dataclass
@@ -47,25 +53,33 @@ def peel_sequence(
     vertex ``v``; ``a[v]`` its vertex suspiciousness. Returns
     ``(order, delta)`` where ``order`` is the removal sequence and
     ``delta[k]`` the peeling weight of ``order[k]`` when removed.
+    ``w_v(S_0)`` sums ``adj[v]`` in its dict order, so the result is
+    bit-identical to a pure-Python heap loop over the same dicts. Raises
+    ``ValueError`` unless ``adj`` and ``a`` have ``n`` entries and every
+    neighbour id lies in ``[0, n)``.
     """
-    w = [a[v] + sum(adj[v].values()) for v in range(n)]
-    heap: List[Tuple[float, int]] = [(w[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    order: List[int] = []
-    delta: List[float] = []
-    while heap:
-        wv, v = heapq.heappop(heap)
-        if removed[v] or wv != w[v]:
-            continue  # stale heap entry (lazy deletion)
-        removed[v] = True
-        order.append(v)
-        delta.append(wv)
-        for u, c in adj[v].items():
-            if not removed[u]:
-                w[u] -= c
-                heapq.heappush(heap, (w[u], u))
-    return order, delta
+    if len(adj) != n or len(a) != n:
+        raise ValueError(f"{len(adj)} adjacencies and {len(a)} weights for {n} vertices")
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=ptr[1:])
+    m = int(ptr[-1])
+    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=m)
+    c = np.fromiter(chain.from_iterable(map(dict.values, adj)), dtype=np.float64, count=m)
+    if m and (nbr.min() < 0 or nbr.max() >= n):
+        raise ValueError(f"a neighbour id lies outside [0, {n})")
+    order = np.empty(n, dtype=np.int64)
+    delta = np.empty(n, dtype=np.float64)
+    fb = ffi.from_buffer
+    lib.peel(
+        n, fb("int64_t[]", ptr), fb("int64_t[]", nbr), fb("double[]", c),
+        fb("double[]", np.ascontiguousarray(a, dtype=np.float64)),
+        fb("int64_t[]", order), fb("double[]", delta),
+        fb("double[]", np.empty(n, dtype=np.float64)),
+        fb("double[]", np.empty(n + m, dtype=np.float64)),
+        fb("int64_t[]", np.empty(n + m, dtype=np.int64)),
+        fb("uint8_t[]", np.empty(n, dtype=np.uint8)),
+    )
+    return order.tolist(), delta.tolist()
 
 
 def best_community(

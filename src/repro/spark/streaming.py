@@ -19,6 +19,8 @@ applied batch goes through one apply-and-record path (``_apply`` times
 
 * :func:`replay_grouped` — the edge-grouping replay (§4.3): each edge
   goes through ``insert_grouped`` and every buffer flush is recorded.
+
+The same harnesses time the static policy with :func:`static_time`.
 """
 from __future__ import annotations
 
@@ -32,7 +34,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.engine import SpadeEngine
+from repro.core.peel import peel
+from repro.core.susp import Metric
 from repro.datasets import edge_rows
+from repro.datasets.generator import GraphData
 from repro.spark.builder import collect_edges
 
 STREAM_SCHEMA = (
@@ -234,3 +239,22 @@ def replay_grouped(
         last_ts = ts[-1] if len(ts) else 0.0
         _record(result, engine, len(rows) - pending_since, acc_dt, fresh, last_ts)
     return result, urgent
+
+
+def static_time(data: GraphData, metric: Metric) -> float:
+    """Seconds for one from-scratch detection on ``data``'s *full* graph.
+
+    The static policy of the Table 4/5 harnesses: :func:`~repro.core.peel.peel`
+    of the graph as ``bulk_load`` weighs it, timed five times. The median
+    keeps one slow peel on a shared machine out of the static columns and
+    out of Table 5's arrival calibration, which is anchored to them.
+    """
+    eng = SpadeEngine(metric)
+    eng.bulk_load(edge_rows(data.edges), priors=data.priors)
+    n, adj, a = eng.snapshot_graph()
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        peel(n, adj, a)
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))

@@ -1,6 +1,7 @@
 """Shared test utilities for the Spade reproduction suite."""
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
@@ -25,6 +26,40 @@ def random_edges(
             amt = round(amt, 2)
         edges.append((f"v{u}", f"v{v}", amt))
     return edges
+
+
+def heapq_peel_sequence(
+    n: int, adj: Sequence[Dict[int, float]], a: Sequence[float]
+) -> Tuple[List[int], List[float]]:
+    """Pure-Python static peel: the oracle for the compiled ``peel_sequence``.
+
+    A ``heapq`` min-heap on ``(w, vid)`` with lazy deletion. ``w_v(S_0)``
+    adds ``adj[v]``'s weights left to right in dict order (an explicit loop,
+    not ``sum``, whose float rounding differs between Python versions).
+    """
+    w = []
+    for v in range(n):
+        s = 0.0
+        for c in adj[v].values():
+            s += c
+        w.append(a[v] + s)
+    heap: List[Tuple[float, int]] = [(w[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    removed = [False] * n
+    order: List[int] = []
+    delta: List[float] = []
+    while heap:
+        wv, v = heapq.heappop(heap)
+        if removed[v] or wv != w[v]:
+            continue  # stale heap entry (lazy deletion)
+        removed[v] = True
+        order.append(v)
+        delta.append(wv)
+        for u, c in adj[v].items():
+            if not removed[u]:
+                w[u] -= c
+                heapq.heappush(heap, (w[u], u))
+    return order, delta
 
 
 def assert_engine_valid(eng: SpadeEngine) -> None:

@@ -1,4 +1,6 @@
-"""The compiled kernel: its build cache, and ``white_run`` against numpy."""
+"""The compiled kernel: its build cache, ``white_run`` against numpy, and
+the input checks that guard ``peel``."""
+import copy
 import math
 import os
 import subprocess
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernel
+from repro.core import peel as peel_mod
 
 SRC = Path(kernel.__file__).resolve().parents[2]
 
@@ -109,3 +112,26 @@ def test_white_run_matches_numpy_reference(case):
     kept = np.ones(n + 3, dtype=bool)
     kept[order[moved]] = False
     np.testing.assert_array_equal(pos[kept], before[2][kept])
+
+
+class _NoKernel:
+    """Stands in for the kernel: any call means unchecked input reached C."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the kernel's {name} was called")
+
+
+@pytest.mark.parametrize("n, adj, a", [
+    (2, [{1: 1.0}, {0: 1.0, 2: 1.0}], [0.0, 0.0]),  # neighbour id == n
+    (2, [{1: 1.0, 7: 2.0}, {0: 1.0}], [0.0, 0.0]),  # neighbour id > n
+    (2, [{-1: 1.0}, {}], [0.0, 0.0]),  # negative neighbour id
+    (2, [{1: 1.0}, {0: 1.0}], [0.0]),  # len(a) < n
+    (2, [{1: 1.0}, {0: 1.0}], [0.0, 0.0, 1.0]),  # len(a) > n
+    (3, [{1: 1.0}, {0: 1.0}], [0.0, 0.0, 0.0]),  # len(adj) < n
+])
+def test_peel_rejects_malformed_input_before_the_kernel(monkeypatch, n, adj, a):
+    before = copy.deepcopy((adj, a))
+    monkeypatch.setattr(peel_mod, "lib", _NoKernel())
+    with pytest.raises(ValueError):
+        peel_mod.peel_sequence(n, adj, a)
+    assert (adj, a) == before

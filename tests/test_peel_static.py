@@ -1,11 +1,13 @@
 """Static peeling (Algorithm 1): known graphs, guarantees, properties."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import SpadeEngine, metric_by_name
 from repro.core.peel import best_community, peel, peel_sequence
 from repro.core.validate import is_valid_peeling, validate_peeling
-from tests.helpers import brute_force_best_density
+from repro.datasets import edge_rows, load_preset
+from tests.helpers import brute_force_best_density, heapq_peel_sequence
 
 
 def _adj_from_edges(n, edges):
@@ -141,3 +143,48 @@ def test_random_graphs_produce_valid_sequences(data):
     adj = _adj_from_edges(n, edges)
     order, delta = peel_sequence(n, adj, a)
     assert is_valid_peeling(n, adj, a, order, delta)
+
+
+@st.composite
+def peel_inputs(draw):
+    """A small graph as the engine stores it: merged parallel edges, isolated
+    vertices, unit (DG), small-integer or continuous weights, and zero or
+    nonzero vertex weights."""
+    n = draw(st.integers(0, 14))
+    weight = draw(st.sampled_from([
+        st.just(1.0),
+        st.integers(1, 4).map(float),
+        st.floats(0.01, 50.0, allow_nan=False),
+    ]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40)) if n > 1 else []
+    edges = [(u, v, draw(weight)) for u, v in pairs if u != v]
+    prior = draw(st.sampled_from([st.just(0.0), st.floats(0.0, 5.0, allow_nan=False)]))
+    a = [draw(prior) for _ in range(n)]
+    return n, _adj_from_edges(n, edges), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(peel_inputs())
+@example((0, [], []))
+@example((1, [{}], [0.0]))
+@example((1, [{}], [2.5]))
+# a DG plateau: every vertex of a 6-cycle ties at weight 2, broken by vid
+@example((6, _adj_from_edges(6, [(i, (i + 1) % 6, 1.0) for i in range(6)]), [0.0] * 6))
+# parallel edges merged into one dict entry, plus an isolated vertex
+@example((4, _adj_from_edges(4, [(0, 1, 0.5), (1, 0, 0.25), (1, 2, 0.75)]), [0.0, 0.1, 0.0, 3.0]))
+def test_compiled_peel_matches_heapq_reference(case):
+    n, adj, a = case
+    assert peel_sequence(n, adj, a) == heapq_peel_sequence(n, adj, a)
+
+
+@pytest.mark.parametrize("metric", ["DG", "DW", "FD"])
+def test_bulk_load_sequence_matches_heapq_reference(metric):
+    data = load_preset("grab1_lite", scale=0.1)
+    eng = SpadeEngine(metric_by_name(metric))
+    eng.bulk_load(edge_rows(data.edges), priors=data.priors)
+    n, adj, a = eng.snapshot_graph()
+    order, delta = heapq_peel_sequence(n, adj, a)
+    assert n > 1000
+    assert eng._order[eng._lo : eng._hi].tolist() == order
+    assert eng.deltas().tolist() == delta
