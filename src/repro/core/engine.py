@@ -1,8 +1,8 @@
 """The Spade engine — incremental peeling maintenance (paper Sections 3-4).
 
 The engine mirrors the paper's memory-resident C++ class (Listing 1):
-it owns the evolving graph, the peeling sequence ``O`` (``_seq``), the
-peeling weights ``Δ`` (``_weight``), the benign-edge buffer, and the
+it owns the evolving graph, the peeling sequence ``O`` (``_order``), the
+peeling weights ``Δ`` (``_delta``), the benign-edge buffer, and the
 three incremental techniques:
 
 * ``insert_edge``       — single-edge peeling-sequence reordering (§4.1, 𝒯);
@@ -180,7 +180,6 @@ class SpadeEngine:
         self,
         edges: Sequence[EdgeLike],
         priors: Dict[Hashable, Optional[float]],
-        edge_weights: Optional[Sequence[float]] = None,
         queued: Optional[Dict[Hashable, int]] = None,
     ) -> Tuple[List[float], Dict[Hashable, float]]:
         """Validate a whole batch against the current graph, mutating nothing.
@@ -191,21 +190,15 @@ class SpadeEngine:
         vertex will have once this edge is in (the batch's earlier edges
         and ``queued[dst]`` edges applied before the batch included),
         matching Fraudar's weighting of the final graph when edges arrive
-        one at a time; ``edge_weights[i]`` overrides it.
-        Raises ``ValueError`` on an ``edge_weights`` whose length differs
-        from the batch's, a ``None`` or NaN endpoint, a self-loop, a
-        non-finite amount, or a weight outside Property 3.1, so a
-        rejected batch leaves the engine untouched.
+        one at a time. Raises ``ValueError`` on a ``None`` or NaN endpoint,
+        a self-loop, a non-finite amount, or a weight outside Property 3.1,
+        so a rejected batch leaves the engine untouched.
         """
-        if edge_weights is not None and len(edge_weights) != len(edges):
-            raise ValueError(
-                f"{len(edge_weights)} edge weights given for {len(edges)} edges"
-            )
         metric, vid_of, default_a = self.metric, self._vid_of, self._default_a
         cs: List[float] = []
         new_a: Dict[Hashable, float] = {}
         in_deg: Dict[Hashable, int] = {}
-        for i, e in enumerate(edges):
+        for e in edges:
             src, dst, amount = e[0], e[1], float(e[2])
             if src is None or dst is None or src != src or dst != dst:
                 raise ValueError(f"edge {src!r}->{dst!r}: vertex id is None or NaN")
@@ -226,10 +219,7 @@ class SpadeEngine:
                 if queued:
                     deg += queued.get(dst, 0)
             in_deg[dst] = deg = deg + 1
-            if edge_weights is None:
-                c = float(metric.esusp(amount, deg))
-            else:
-                c = float(edge_weights[i])
+            c = float(metric.esusp(amount, deg))
             metric.check(0.0, c)
             cs.append(c)
         return cs, new_a
@@ -288,19 +278,16 @@ class SpadeEngine:
         self,
         edges: Iterable[EdgeLike],
         priors: Optional[Dict[Hashable, float]] = None,
-        edge_weights: Optional[Sequence[float]] = None,
     ) -> None:
         """Load the initial graph and compute its peeling sequence.
 
-        ``edges`` yields ``(src, dst, amount, ...)`` tuples. If
-        ``edge_weights`` is given (e.g. static FD weights computed over
-        the whole edge table), it overrides ``esusp`` evaluation —
-        otherwise weights are evaluated in arrival order exactly as
-        ``insert_edge`` would. The whole load is validated first: a
-        rejected load leaves the engine as it was.
+        ``edges`` yields ``(src, dst, amount, ...)`` tuples, weighed by
+        ``esusp`` in arrival order exactly as ``insert_edge`` would. The
+        whole load is validated first: a rejected load leaves the engine
+        as it was.
         """
         edges = edges if isinstance(edges, Sequence) else list(edges)
-        cs, new_a = self._weigh(edges, priors or {}, edge_weights)
+        cs, new_a = self._weigh(edges, priors or {})
         for ext, a in new_a.items():
             self._intern(ext, a)
         self._add_edges(edges, cs)

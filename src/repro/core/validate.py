@@ -15,7 +15,7 @@ inside property-based tests.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 _TOL = 1e-9
 
@@ -26,7 +26,6 @@ def validate_peeling(
     a: Sequence[float],
     order: Sequence[int],
     delta: Sequence[float],
-    tol: float = _TOL,
 ) -> None:
     """Raise ``AssertionError`` unless ``(order, delta)`` is a valid greedy peel."""
     assert len(order) == n, f"sequence length {len(order)} != |V| = {n}"
@@ -39,14 +38,14 @@ def validate_peeling(
     removed = [False] * n
     for k, v in enumerate(order):
         # Current minimum weight among the remaining vertices.
-        while heap and (removed[heap[0][1]] or abs(heap[0][0] - w[heap[0][1]]) > tol):
+        while heap and (removed[heap[0][1]] or abs(heap[0][0] - w[heap[0][1]]) > _TOL):
             heapq.heappop(heap)
         assert heap, "heap exhausted early (internal validator bug)"
         wmin = heap[0][0]
-        assert abs(w[v] - delta[k]) <= tol * max(1.0, abs(w[v])), (
+        assert abs(w[v] - delta[k]) <= _TOL * max(1.0, abs(w[v])), (
             f"step {k}: stored Δ={delta[k]} but actual weight of v{v} is {w[v]}"
         )
-        assert w[v] <= wmin + tol * max(1.0, abs(wmin)), (
+        assert w[v] <= wmin + _TOL * max(1.0, abs(wmin)), (
             f"step {k}: removed v{v} with weight {w[v]} "
             f"but the remaining minimum is {wmin}"
         )
@@ -56,18 +55,3 @@ def validate_peeling(
                 w[u] -= c
                 heapq.heappush(heap, (w[u], u))
 
-
-def is_valid_peeling(
-    n: int,
-    adj: Sequence[Dict[int, float]],
-    a: Sequence[float],
-    order: Sequence[int],
-    delta: Sequence[float],
-    tol: float = _TOL,
-) -> bool:
-    """Boolean form of :func:`validate_peeling`."""
-    try:
-        validate_peeling(n, adj, a, order, delta, tol)
-        return True
-    except AssertionError:
-        return False

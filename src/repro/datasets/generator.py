@@ -9,6 +9,8 @@ timestamped multigraph. Two shapes:
 * ``directed``  — Amazon/Wiki-vote/Epinion-style interaction graphs
   where any vertex can be source or target.
 
+Both shapes draw background ids with the fixed Zipf exponent ``ALPHA``.
+
 On top of the background traffic two fraud structures are planted,
 mirroring the paper's case studies (Fig. 12/13):
 
@@ -36,11 +38,26 @@ inside fraud blocks. Everything is deterministic in ``seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+
+#: Zipf exponent of the background pools: mild enough that the established
+#: community density dominates background hub degrees, the regime the
+#: paper's edge grouping operates in (most background edges benign under
+#: Definition 4.1).
+ALPHA = 0.3
+#: Customer and merchant vertices of each established collusion ring.
+FRAUD_BLOCK_SRC = 6
+FRAUD_BLOCK_DST = 4
+#: Fresh fraudster accounts per click-farming campaign.
+FRAUDSTERS_PER_CAMPAIGN = 2
+#: Stream length in seconds; every timestamp lies in ``[0, DURATION_S]``.
+DURATION_S = 86_400.0
+#: Share of the ``ts``-sorted edges that form the initial graph.
+INIT_FRACTION = 0.9
 
 
 def edge_rows(df: pd.DataFrame) -> List[Tuple]:
@@ -94,11 +111,9 @@ class GraphData:
         return spark.createDataFrame(self.edges)
 
 
-def _zipf_ids(
-    g: np.random.Generator, n: int, pool: int, alpha: float, offset: int = 0
-) -> np.ndarray:
+def _zipf_ids(g: np.random.Generator, n: int, pool: int, offset: int = 0) -> np.ndarray:
     ranks = np.arange(1, pool + 1, dtype=np.float64)
-    p = ranks**-alpha
+    p = ranks**-ALPHA
     p /= p.sum()
     return offset + g.choice(pool, size=n, p=p)
 
@@ -110,49 +125,41 @@ def transaction_graph(
     n_dst: int,
     n_edges: int,
     kind: str = "bipartite",
-    alpha: float = 0.3,
     n_fraud_blocks: int = 2,
-    fraud_block_src: int = 6,
-    fraud_block_dst: int = 4,
     fraud_edges_per_block: int = 1_100,
     n_campaigns: int = 2,
-    fraudsters_per_campaign: int = 2,
     edges_per_fraudster: int = 500,
-    duration_s: float = 86_400.0,
-    init_fraction: float = 0.9,
     seed: int = 0,
 ) -> GraphData:
     """Generate a timestamped transaction graph with planted fraud.
 
     ``n_src``/``n_dst`` size the two vertex pools (for ``directed``
     graphs both draws come from the union pool, so |V| ≈ n_src+n_dst).
-    Background edges get uniform timestamps over ``duration_s``.
-    Established blocks burst inside the initial 90 % window; campaign
-    fraudsters burst entirely inside the 10 % increment tail, attaching
-    to an established block's merchant side (the click-farming pattern
-    of Fig. 12c). ``alpha`` keeps the background power law mild enough
-    that the established community density dominates background hub
-    degrees — the regime the paper's edge grouping operates in (most
-    background edges benign under Definition 4.1).
+    Background edges get uniform timestamps over ``DURATION_S``.
+    Established blocks of ``FRAUD_BLOCK_SRC`` × ``FRAUD_BLOCK_DST``
+    vertices burst inside the initial 90 % window; campaigns of
+    ``FRAUDSTERS_PER_CAMPAIGN`` fraudsters burst entirely inside the
+    10 % increment tail, attaching to an established block's merchant
+    side (the click-farming pattern of Fig. 12c).
     """
     if kind not in ("bipartite", "directed"):
         raise ValueError(f"kind must be bipartite|directed, got {kind!r}")
     g = np.random.default_rng(seed)
-    n_campaign_edges = n_campaigns * fraudsters_per_campaign * edges_per_fraudster
+    n_campaign_edges = n_campaigns * FRAUDSTERS_PER_CAMPAIGN * edges_per_fraudster
     n_bg = n_edges - n_fraud_blocks * fraud_edges_per_block - n_campaign_edges
     if n_bg <= 0:
         raise ValueError("n_edges too small for the requested fraud structures")
 
     pool = n_src + n_dst
     if kind == "bipartite":
-        src = _zipf_ids(g, n_bg, n_src, alpha)
-        dst = _zipf_ids(g, n_bg, n_dst, alpha, offset=n_src)
+        src = _zipf_ids(g, n_bg, n_src)
+        dst = _zipf_ids(g, n_bg, n_dst, offset=n_src)
     else:
-        src = _zipf_ids(g, n_bg, pool, alpha)
-        dst = _zipf_ids(g, n_bg, pool, alpha)
+        src = _zipf_ids(g, n_bg, pool)
+        dst = _zipf_ids(g, n_bg, pool)
         clash = src == dst
         dst[clash] = (dst[clash] + 1) % pool
-    ts = g.uniform(0.0, duration_s, n_bg)
+    ts = g.uniform(0.0, DURATION_S, n_bg)
     amount = np.exp(g.normal(3.0, 1.0, n_bg)).round(2) + 0.01
     frames = [
         pd.DataFrame(
@@ -172,15 +179,15 @@ def transaction_graph(
     block_dst_members: List[np.ndarray] = []
     for b in range(n_fraud_blocks):
         if kind == "bipartite":
-            fr_src = g.choice(n_src, size=fraud_block_src, replace=False)
-            fr_dst = n_src + g.choice(n_dst, size=fraud_block_dst, replace=False)
+            fr_src = g.choice(n_src, size=FRAUD_BLOCK_SRC, replace=False)
+            fr_dst = n_src + g.choice(n_dst, size=FRAUD_BLOCK_DST, replace=False)
         else:
-            members = g.choice(pool, size=fraud_block_src + fraud_block_dst, replace=False)
-            fr_src, fr_dst = members[:fraud_block_src], members[fraud_block_src:]
+            members = g.choice(pool, size=FRAUD_BLOCK_SRC + FRAUD_BLOCK_DST, replace=False)
+            fr_src, fr_dst = members[:FRAUD_BLOCK_SRC], members[FRAUD_BLOCK_SRC:]
         # Established collusion ring: bursts inside the initial window so
         # it is already the detected community when the replay starts.
-        w0 = g.uniform(0.15, 0.75) * duration_s
-        w1 = min(duration_s, w0 + 0.08 * duration_s)
+        w0 = g.uniform(0.15, 0.75) * DURATION_S
+        w1 = min(DURATION_S, w0 + 0.08 * DURATION_S)
         e_src = g.choice(fr_src, size=fraud_edges_per_block)
         e_dst = g.choice(fr_dst, size=fraud_edges_per_block)
         frames.append(
@@ -210,9 +217,9 @@ def transaction_graph(
         targets = block_dst_members[c % max(1, n_fraud_blocks)]
         members_c = []
         c_src, c_dst, c_ts = [], [], []
-        w0 = g.uniform(0.905, 0.93) * duration_s
-        w1 = min(duration_s, w0 + 0.05 * duration_s)
-        for _ in range(fraudsters_per_campaign):
+        w0 = g.uniform(0.905, 0.93) * DURATION_S
+        w1 = min(DURATION_S, w0 + 0.05 * DURATION_S)
+        for _ in range(FRAUDSTERS_PER_CAMPAIGN):
             fid = next_vid
             next_vid += 1
             members_c.append(fid)
@@ -220,7 +227,7 @@ def transaction_graph(
             c_dst.append(g.choice(targets, size=edges_per_fraudster))
             c_ts.append(np.sort(g.uniform(w0, w1, edges_per_fraudster)))
             priors[fid] = 1.0
-        n_ce = fraudsters_per_campaign * edges_per_fraudster
+        n_ce = FRAUDSTERS_PER_CAMPAIGN * edges_per_fraudster
         frames.append(
             pd.DataFrame(
                 {
@@ -242,7 +249,7 @@ def transaction_graph(
     )
     edges["src"] = edges["src"].astype("int64")
     edges["dst"] = edges["dst"].astype("int64")
-    n_initial = int(len(edges) * init_fraction)
+    n_initial = int(len(edges) * INIT_FRACTION)
     # Default prior for normal users: small positive constant.
     for v in pd.unique(pd.concat([edges["src"], edges["dst"]])):
         priors.setdefault(int(v), 0.1)

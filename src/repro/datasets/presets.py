@@ -75,7 +75,6 @@ def load_preset(name: str, *, scale: float = 1.0, seed: int = 7) -> GraphData:
         n_fraud_blocks=2 if big else 1,
         fraud_edges_per_block=max(60, min(1_100, n_edges // 40)),
         n_campaigns=2 if big else 1,
-        fraudsters_per_campaign=2,
         edges_per_fraudster=max(20, min(500, n_edges // 100)),
         # zlib.crc32 is stable across runs (str hash is salted per process).
         seed=seed + zlib.crc32(name.encode()) % 1000,

@@ -21,23 +21,19 @@ from repro.core.engine import SpadeEngine
 from repro.core.susp import Metric
 
 
-def collect_edges(df: DataFrame) -> Tuple[List[tuple], Dict[str, np.ndarray]]:
+def collect_edges(df: DataFrame) -> Tuple[List[tuple], np.ndarray]:
     """Ship ``(src, dst, amount)`` rows to the driver in timestamp order.
 
-    Collects ``src, dst, amount`` and ``ts`` (if present) with
-    ``DataFrame.toArrow()`` and orders them by a stable ``argsort`` of
-    ``ts``: tied timestamps keep partition/file order. Returns the row
-    tuples (the values ``edge_rows`` yields) and each collected column
-    as a numpy array in the same order.
+    Collects ``src, dst, amount, ts`` with ``DataFrame.toArrow()`` and
+    orders them by a stable ``argsort`` of ``ts``: tied timestamps keep
+    partition/file order. Returns the row tuples (the values
+    ``edge_rows`` yields) and their ``ts`` in the same order.
     """
-    names = ["src", "dst", "amount"] + (["ts"] if "ts" in df.columns else [])
-    table = df.select(*names).toArrow()
-    cols = {c: table.column(c).to_numpy() for c in names}
-    if "ts" in cols:
-        order = np.argsort(cols["ts"], kind="stable")
-        cols = {c: a[order] for c, a in cols.items()}
-    rows = list(zip(cols["src"].tolist(), cols["dst"].tolist(), cols["amount"].tolist()))
-    return rows, cols
+    table = df.select("src", "dst", "amount", "ts").toArrow()
+    ts = table.column("ts").to_numpy()
+    order = np.argsort(ts, kind="stable")
+    src, dst, amount = (table.column(c).to_numpy()[order] for c in ("src", "dst", "amount"))
+    return list(zip(src.tolist(), dst.tolist(), amount.tolist())), ts[order]
 
 
 def build_engine(

@@ -164,10 +164,10 @@ def run_stream(
 
     def handle(batch_df, batch_id: int) -> None:
         t0 = time.perf_counter()
-        rows, cols = collect_edges(batch_df)
+        rows, ts = collect_edges(batch_df)
         if not rows:
             return
-        _apply(result, engine, rows, cols["ts"][-1], batch_id, time.perf_counter() - t0)
+        _apply(result, engine, rows, ts[-1], batch_id, time.perf_counter() - t0)
 
     stream = (
         spark.readStream.schema(STREAM_SCHEMA)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import DG, DW, FD, SpadeEngine, validate_peeling
+from repro.core import DG, DW, FD, Metric, SpadeEngine, validate_peeling
 from repro.core.peel import best_community
 from repro.datasets import edge_rows, load_preset
 from tests.helpers import assert_engine_valid, random_edges
@@ -205,16 +205,17 @@ class TestAtomicRejection:
             with pytest.raises(ValueError, match="None or NaN"):
                 eng.bulk_load([("x", "y", 1.0), ("y", bad, 1.0)])
             assert _state(eng) == before
-        with pytest.raises(ValueError, match="> 0"):
-            eng.bulk_load([("x", "y", 1.0), ("y", "z", 1.0)], edge_weights=[1.0, 0.0])
+        with pytest.raises(ValueError, match="> 0, got 0.0"):
+            eng.bulk_load([("x", "y", 1.0), ("y", "z", 0.0)])  # DW: c = amount = 0
         assert _state(eng) == before
-        with pytest.raises(ValueError, match="finite"):
-            eng.bulk_load([("x", "y", 1.0), ("y", "z", 1.0)], edge_weights=[1.0, math.inf])
+        assert_engine_valid(eng)
+        # A finite amount whose esusp overflows to c = inf.
+        squared = Metric("DW2", vsusp=lambda prior: 0.0, esusp=lambda amount, deg: amount * amount)
+        eng = _loaded(squared)
+        before = _state(eng)
+        with pytest.raises(ValueError, match="finite and > 0, got inf"):
+            eng.bulk_load([("x", "y", 1.0), ("y", "z", 1e200)])
         assert _state(eng) == before
-        for weights in ([1.0, 1.0, 1.0], [1.0]):  # one too many, one too few
-            with pytest.raises(ValueError, match="edge weights given for 2 edges"):
-                eng.bulk_load([("x", "y", 1.0), ("y", "z", 1.0)], edge_weights=weights)
-            assert _state(eng) == before
         assert_engine_valid(eng)
 
     def test_grouped_edge_rejected_on_arrival(self):

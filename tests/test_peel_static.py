@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core import SpadeEngine, metric_by_name
 from repro.core.peel import best_community, peel, peel_sequence
-from repro.core.validate import is_valid_peeling, validate_peeling
+from repro.core.validate import validate_peeling
 from repro.datasets import edge_rows, load_preset
 from tests.helpers import brute_force_best_density, heapq_peel_sequence
 
@@ -67,7 +67,7 @@ class TestKnownGraphs:
         assert sorted(res.community) == [0, 1, 2, 3, 4]
         assert res.best_density == pytest.approx(2.0)
 
-    def test_edge_weights_override_topology(self):
+    def test_heavy_edge_outweighs_topology(self):
         # A single heavy edge out-weighs an unweighted triangle.
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 100.0)]
         adj = _adj_from_edges(5, edges)
@@ -142,7 +142,7 @@ def test_random_graphs_produce_valid_sequences(data):
     a = [data.draw(st.floats(0.0, 5.0, allow_nan=False)) for _ in range(n)]
     adj = _adj_from_edges(n, edges)
     order, delta = peel_sequence(n, adj, a)
-    assert is_valid_peeling(n, adj, a, order, delta)
+    validate_peeling(n, adj, a, order, delta)
 
 
 @st.composite

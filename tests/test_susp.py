@@ -107,32 +107,35 @@ class TestAxioms:
 class TestFinalGraphFD:
     """Static Fraudar weighs an FD edge by its object's *final-graph*
     in-degree; the engine weighs it at insertion time (DESIGN.md, *FD
-    weight semantics*). The static weights load through
-    ``bulk_load(edge_weights=...)``."""
+    weight semantics*). DuckDB computes both weightings from the edge
+    table."""
 
     @pytest.fixture(scope="class")
-    def final(self):
+    def totals(self):
         edges = load_preset("grab1_lite", scale=0.03).edges.reset_index(drop=True)
-        weight = f"1.0 / LN(d.in_deg + {FD_LOG_C})"
-        join = "FROM e JOIN (SELECT dst, COUNT(*) AS in_deg FROM e GROUP BY dst) d ON e.dst = d.dst"
         with duckdb.connect() as con:
             con.register("e", edges.assign(i=np.arange(len(edges))))
-            w = con.execute(f"SELECT {weight} AS w {join} ORDER BY e.i").fetchnumpy()["w"]
-            total = con.execute(f"SELECT SUM({weight}) {join}").fetchone()[0]
+            inserted = con.execute(
+                f"SELECT SUM(1.0 / LN(k + {FD_LOG_C})) FROM (SELECT ROW_NUMBER() "
+                "OVER (PARTITION BY dst ORDER BY i) AS k FROM e)"
+            ).fetchone()[0]
+            final = con.execute(
+                f"SELECT SUM(1.0 / LN(d.in_deg + {FD_LOG_C})) FROM e JOIN "
+                "(SELECT dst, COUNT(*) AS in_deg FROM e GROUP BY dst) d ON e.dst = d.dst"
+            ).fetchone()[0]
         eng = SpadeEngine(FD)
-        eng.bulk_load(edge_rows(edges), edge_weights=w)
-        return edges, eng, total
+        eng.bulk_load(edge_rows(edges))
+        return edges, eng, inserted, final
 
-    def test_fd_final_graph_weights_total(self, final):
-        """Engine f_total under static FD weighting == DuckDB's sum."""
-        _, eng, total = final
+    def test_fd_insertion_weights_total(self, totals):
+        """Engine f_total == DuckDB's sum of the insertion-time weights,
+        the k-th edge into an object weighing ``1/log(k + 5)``."""
+        _, eng, inserted, _ = totals
         # Default prior 0 => vertex mass 0; f_total is the edge mass.
-        assert eng.f_total == pytest.approx(total)
+        assert eng.f_total == pytest.approx(inserted, rel=1e-12)
 
-    def test_fd_insertion_vs_final_weights_diverge_boundedly(self, final):
+    def test_fd_insertion_vs_final_weights_diverge_boundedly(self, totals):
         """The two FD weightings differ, but within log-factors."""
-        edges, e_fin, _ = final
-        e_ins = SpadeEngine(FD)
-        e_ins.bulk_load(edge_rows(edges))
-        ratio = e_ins.f_total / e_fin.f_total
+        edges, eng, _, final = totals
+        ratio = eng.f_total / final
         assert 1.0 <= ratio <= math.log(len(edges) + FD_LOG_C)

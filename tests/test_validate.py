@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.peel import peel_sequence
-from repro.core.validate import is_valid_peeling, validate_peeling
+from repro.core.validate import validate_peeling
 
 
 def _triangle():
@@ -23,7 +23,8 @@ def test_accepts_static_peel_output():
 def test_rejects_wrong_order():
     n, adj, a = _triangle()
     # Vertex 2 has the largest weight (5.0) — peeling it first is invalid.
-    assert not is_valid_peeling(n, adj, a, [2, 0, 1], [5.0, 1.0, 0.0])
+    with pytest.raises(AssertionError, match="remaining minimum"):
+        validate_peeling(n, adj, a, [2, 0, 1], [5.0, 1.0, 0.0])
 
 
 def test_rejects_wrong_delta():
@@ -31,25 +32,28 @@ def test_rejects_wrong_delta():
     order, delta = peel_sequence(n, adj, a)
     bad = list(delta)
     bad[0] += 1.0
-    assert not is_valid_peeling(n, adj, a, order, bad)
+    with pytest.raises(AssertionError, match="stored"):
+        validate_peeling(n, adj, a, order, bad)
 
 
 def test_rejects_non_permutation():
     n, adj, a = _triangle()
-    assert not is_valid_peeling(n, adj, a, [0, 0, 1], [1.0, 1.0, 1.0])
+    with pytest.raises(AssertionError, match="not a permutation"):
+        validate_peeling(n, adj, a, [0, 0, 1], [1.0, 1.0, 1.0])
 
 
 def test_rejects_wrong_length():
     n, adj, a = _triangle()
-    assert not is_valid_peeling(n, adj, a, [0, 1], [1.0, 1.0])
+    with pytest.raises(AssertionError, match="sequence length"):
+        validate_peeling(n, adj, a, [0, 1], [1.0, 1.0])
 
 
 def test_accepts_any_tie_break():
     # Two isolated unit-weight vertices: both orders are valid greedy peels.
     adj = [{1: 1.0}, {0: 1.0}]
     a = [0.0, 0.0]
-    assert is_valid_peeling(2, adj, a, [0, 1], [1.0, 0.0])
-    assert is_valid_peeling(2, adj, a, [1, 0], [1.0, 0.0])
+    validate_peeling(2, adj, a, [0, 1], [1.0, 0.0])
+    validate_peeling(2, adj, a, [1, 0], [1.0, 0.0])
 
 
 def test_rejects_delta_mismatch_even_if_order_ok():
