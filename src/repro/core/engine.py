@@ -51,10 +51,15 @@ suffix-weight re-accumulation and the rescan of its blocks), plus
 ``O(n / BLOCK)`` for ``Detect`` to shift the earlier blocks' offsets
 and pick the best block, plus one ``O(BLOCK)`` rescan per block whose
 offset grew since its last scan and whose bound still wins. Both update
-paths apply their edges in one Python loop (``_add_edges``). A
-``bulk_load`` then runs the static peel of
-:func:`~repro.core.peel.peel_sequence`: an ``O(|E|)`` CSR build in
-Python and the ``O(|E| log |V|)`` heap loop in C.
+paths apply their edges in one Python loop (``_add_edges``).
+
+A ``bulk_load`` runs on columns instead: ``_weigh_columns`` checks and
+weighs the whole load with numpy and one ``pd.factorize``, calling
+``esusp`` once per edge; the kernel's ``ingest`` merges it into the
+graph as CSR in ``O(|V| + |E|)``; the static peel of
+:func:`~repro.core.peel.peel_sequence` runs its ``O(|E| log |V|)`` heap
+loop in C over that CSR; and one ``O(|V| + |E|)`` pass then builds the
+dict adjacency the Python reorder reads.
 """
 from __future__ import annotations
 
@@ -64,9 +69,10 @@ from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import pandas as pd
 
 from repro.core.kernel import ffi, lib
-from repro.core.peel import peel_sequence
+from repro.core.peel import csr, peel_sequence
 from repro.core.susp import Metric
 
 #: (src, dst, amount) with optional trailing fields ignored by the engine.
@@ -74,6 +80,44 @@ EdgeLike = Tuple
 
 #: Slots per ``Detect`` block; an engine keeps the value it was built with.
 BLOCK = 256
+
+#: Vertices per chunk when ``bulk_load`` turns its merged CSR into dicts.
+_ROW_CHUNK = 4096
+
+
+def _ingest(
+    base: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    u: np.ndarray,
+    v: np.ndarray,
+    c: np.ndarray,
+    w0: np.ndarray,
+    in_deg: np.ndarray,
+    f_total: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Merge the edges ``(u, v, c)`` into the CSR ``base`` with the kernel.
+
+    ``base`` covers the first ``len(base[0]) - 1`` of the ``len(w0)``
+    vertices. ``w0`` and ``in_deg`` are updated in place; returns the
+    merged ``(ptr, nbr, c)`` and the new ``f_total`` (see ``ingest`` in
+    :mod:`repro.core.kernel`).
+    """
+    bptr, bnbr, bc = base
+    n, m = len(w0), len(c)
+    ptr = np.empty(n + 1, dtype=np.int64)
+    nbr = np.empty(len(bnbr) + 2 * m, dtype=np.int64)
+    cw = np.empty(len(bnbr) + 2 * m, dtype=np.float64)
+    fb = ffi.from_buffer
+    f_total = lib.ingest(
+        len(bptr) - 1, n, fb("int64_t[]", bptr), fb("int64_t[]", bnbr), fb("double[]", bc),
+        m, fb("int64_t[]", u), fb("int64_t[]", v), fb("double[]", c),
+        fb("double[]", w0), fb("int64_t[]", in_deg), f_total,
+        fb("int64_t[]", np.empty(n, dtype=np.int64)),
+        fb("int64_t[]", np.empty(2 * m, dtype=np.int64)),
+        fb("double[]", np.empty(2 * m, dtype=np.float64)),
+        fb("int64_t[]", np.empty(n, dtype=np.int64)),
+        fb("int64_t[]", ptr), fb("int64_t[]", nbr), fb("double[]", cw),
+    )
+    return ptr, nbr[: ptr[n]], cw[: ptr[n]], f_total
 
 
 class SpadeEngine:
@@ -240,12 +284,19 @@ class SpadeEngine:
         self._in_deg.append(0)
         self._w0.append(a)
         self._f_total += a
-        if vid >= len(self._pos):
-            grown = np.full(max(64, 2 * len(self._pos)), -1, dtype=np.int64)
-            grown[: len(self._pos)] = self._pos
-            self._pos = grown
-        self._pos[vid] = -1
+        self._reserve(vid + 1)
         return vid
+
+    def _reserve(self, n: int) -> None:
+        """Grow ``_pos`` (doubling, from 64 slots) to hold vids below ``n``."""
+        size = len(self._pos)
+        if n <= size:
+            return
+        while size < n:
+            size = max(64, 2 * size)
+        grown = np.full(size, -1, dtype=np.int64)
+        grown[: len(self._pos)] = self._pos
+        self._pos = grown
 
     def _add_edges(self, edges: Sequence[EdgeLike], cs: Sequence[float]) -> Set[int]:
         """Accumulate validated edges into the combined adjacency.
@@ -284,24 +335,135 @@ class SpadeEngine:
         ``edges`` yields ``(src, dst, amount, ...)`` tuples, weighed by
         ``esusp`` in arrival order exactly as ``insert_edge`` would. The
         whole load is validated first: a rejected load leaves the engine
-        as it was.
+        as it was. The load runs on columns (:meth:`_weigh_columns`, then
+        the kernel's ``ingest`` merges it into the graph as CSR and the
+        static peel runs over that CSR), and leaves the same adjacency,
+        vertex weights, degrees, vids and ``f_total``, to the bit, as
+        ``insert_batch`` of the same edges would.
         """
         edges = edges if isinstance(edges, Sequence) else list(edges)
-        cs, new_a = self._weigh(edges, priors or {})
-        for ext, a in new_a.items():
-            self._intern(ext, a)
-        self._add_edges(edges, cs)
-        del cs, new_a  # free the validation temporaries before the peel's own peak
-        self._rebuild_sequence()
+        priors = priors or {}
+        try:
+            u, v, c, new, new_a = self._weigh_columns(edges, priors)
+        except Exception:
+            # Whatever failed, the row pass raises the load's first error in
+            # row order, as insert_batch would; it mutates nothing.
+            try:
+                self._weigh(edges, priors)
+            except Exception as first:
+                raise first from None
+            raise
+        n0, m = self.n_vertices, len(c)
+        n = n0 + len(new)
+        w0 = np.array(self._w0 + new_a, dtype=np.float64)
+        in_deg = np.zeros(n, dtype=np.int64)
+        in_deg[:n0] = self._in_deg
+        f_total = self._f_total
+        for a in new_a:  # vertex mass first, in intern order, as _intern adds it
+            f_total += a
+        ptr, nbr, cw, f_total = _ingest(csr(self._adj), u, v, c, w0, in_deg, f_total)
+        del u, v, c  # free the load's columns before the peel and the dicts
+        # One int object per vid, shared by _vid_of and every row naming it,
+        # as the row path shares them (a fresh int per entry costs ~8 MB
+        # on a 135K-edge load).
+        vids = np.arange(n).astype(object)
+        self._vid_of.update(zip(new, vids[n0:]))
+        self._ext_of.extend(new)
+        self._a.extend(new_a)
+        self._w0 = w0.tolist()
+        self._in_deg = in_deg.tolist()
+        self._f_total = f_total
+        self._n_edges += m
+        self._reserve(n)
+        self._rebuild_sequence(ptr, nbr, cw)
+        self._write_rows(ptr, nbr, cw, vids)
 
-    def _rebuild_sequence(self) -> None:
-        """Static peel of the current graph (``bulk_load``).
+    def _write_rows(self, ptr: np.ndarray, nbr: np.ndarray, cw: np.ndarray,
+                    vids: np.ndarray) -> None:
+        """Write the merged CSR into the dict adjacency the reorder reads.
+
+        A known vertex's CSR row starts with its dict's own entries, so it
+        gains its new neighbours in place; a new vertex's row becomes a
+        new dict. Neighbour keys are the shared int objects of ``vids``.
+        Rows go over in chunks, so only one chunk's Python lists exist
+        beside the dicts: lists of the whole load would raise peak RSS.
+        """
+        adj, n0 = self._adj, len(self._adj)
+        for lo in range(0, len(ptr) - 1, _ROW_CHUNK):
+            hi = min(len(ptr) - 1, lo + _ROW_CHUNK)
+            p0, p1 = int(ptr[lo]), int(ptr[hi])
+            bounds = (ptr[lo : hi + 1] - p0).tolist()
+            keys, vals = vids[nbr[p0:p1]].tolist(), cw[p0:p1].tolist()
+            for x, p, q in zip(range(lo, hi), bounds, bounds[1:]):
+                row = zip(keys[p:q], vals[p:q])
+                if x < n0:
+                    adj[x].update(row)
+                else:
+                    adj.append(dict(row))
+
+    def _weigh_columns(
+        self, edges: Sequence[EdgeLike], priors: Dict[Hashable, Optional[float]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[float]]:
+        """:meth:`_weigh` of a whole load on columns, mutating nothing.
+
+        Interns the ids with one ``pd.factorize`` over the interleaved
+        ``src, dst`` column, so new vertices take vids from
+        ``n_vertices`` on in first-seen order, as ``_weigh`` lists them.
+        An edge's object degree is the in-degree its ``dst`` has plus
+        its rank among the load's edges into ``dst``; ``esusp`` runs once
+        per edge in arrival order. Returns the endpoint vids ``u, v``,
+        the weights ``c``, the new ids in vid order and their ``a``.
+        Raises ``ValueError`` on a failed check; it does not tell which
+        row failed first.
+        """
+        metric, m, n0 = self.metric, len(edges), self.n_vertices
+        ends = np.empty(2 * m, dtype=object)
+        ends[0::2] = [e[0] for e in edges]
+        ends[1::2] = [e[1] for e in edges]
+        codes, uniques = pd.factorize(ends, sort=False)
+        del ends
+        amounts = [e[2] for e in edges]
+        amount = np.array(amounts, dtype=np.float64)
+        vid_of = self._vid_of
+        vid = np.fromiter((vid_of.get(x, -1) for x in uniques), dtype=np.int64,
+                          count=len(uniques))
+        fresh = vid < 0
+        vid[fresh] = np.arange(n0, n0 + int(fresh.sum()), dtype=np.int64)
+        new = uniques[fresh]
+        if np.any(codes < 0):
+            raise ValueError("a vertex id is None or NaN")
+        u, v = vid[codes[0::2]], vid[codes[1::2]]
+        if np.any(u == v) or not np.all(np.isfinite(amount)):
+            raise ValueError("a self-loop or a non-finite amount")
+        default_a, vsusp = self._default_a, metric.vsusp
+        new_a = [default_a if (p := priors.get(x)) is None else float(vsusp(p)) for x in new]
+        a = np.array(new_a, dtype=np.float64)
+        if not np.all((a >= 0) & (a < math.inf)):
+            raise ValueError(f"metric {metric.name}: a vertex suspiciousness is not finite and >= 0")
+        # Rank of each edge among the load's edges into its dst, from 1.
+        by_dst = np.argsort(v, kind="stable")
+        sorted_v = v[by_dst]
+        head = np.ones(m, dtype=bool)
+        head[1:] = sorted_v[1:] != sorted_v[:-1]
+        rank = np.arange(1, m + 1) - np.maximum.accumulate(np.where(head, np.arange(m), 0))
+        deg = np.empty(m, dtype=np.int64)
+        deg[by_dst] = rank
+        known = v < n0
+        deg[known] += np.asarray(self._in_deg, dtype=np.int64)[v[known]]
+        c = np.fromiter(map(metric.esusp, map(float, amounts), deg.tolist()),
+                        dtype=np.float64, count=m)
+        if not np.all((c > 0) & (c < math.inf)):
+            raise ValueError(f"metric {metric.name}: an edge suspiciousness is not finite and > 0")
+        return u, v, c, new, new_a
+
+    def _rebuild_sequence(self, ptr: np.ndarray, nbr: np.ndarray, c: np.ndarray) -> None:
+        """Static peel of the current graph, given as CSR (``bulk_load``).
 
         Allocates the slot arrays behind a front gap for head insertions
         and enters the whole sequence into Detect as one rewritten span.
         """
         n = self.n_vertices
-        order, delta = peel_sequence(n, self._adj, self._a)
+        order, delta = peel_sequence(n, ptr, nbr, c, self._a)
         pad = max(64, n // 4)
         self._order = np.empty(pad + n, dtype=np.int64)
         self._order[pad:] = order

@@ -10,7 +10,7 @@ published with an atomic rename, so concurrent importers either find a
 whole module or build their own; later imports load the cached one. A
 failed build raises ``ImportError`` carrying the compiler's output.
 
-The kernel has three entry points. ``detect`` is the engine's ``Detect``
+The kernel has four entry points. ``detect`` is the engine's ``Detect``
 update (see
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
 split into blocks of ``B`` counted backward from ``hi``, so block ``b``
@@ -35,6 +35,18 @@ min-heap on ``(w, vid)`` with lazy deletion, filling ``order`` and
 ``delta``. ``w`` and ``removed`` are ``n`` long and the heap arrays
 ``hw``/``hv`` hold ``n + ptr[n]`` entries; the caller checks that every
 neighbour id lies in ``[0, n)``.
+
+``ingest`` merges ``m`` new edges ``(u, v, c)`` into a base CSR of the
+first ``n0`` of ``n`` vertices, whose rows hold distinct neighbours (see
+:meth:`~repro.core.engine.SpadeEngine.bulk_load`). It adds each edge to
+``w0`` of both endpoints, to ``in_deg`` of ``v`` and to ``f_total``, in
+arrival order, and writes the merged CSR to ``ptr``/``nbr``/``cw``
+(``cw`` and ``nbr`` hold ``bptr[n0] + 2m`` entries): a row keeps its base
+entries, then gains its new neighbours in order of first appearance, and
+parallel edges add to their entry one by one in arrival order. These are
+the floats a dict adjacency gets from ``adj[u][v] = adj[u].get(v, 0.0) +
+c``. It returns the new ``f_total``; ``hptr``/``where`` (``n`` long) and
+``hnbr``/``hc`` (``2m``) are scratch.
 """
 from __future__ import annotations
 
@@ -58,6 +70,11 @@ int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
 void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
           const double *a, int64_t *order, double *delta, double *w, double *hw,
           int64_t *hv, uint8_t *removed);
+double ingest(int64_t n0, int64_t n, const int64_t *bptr, const int64_t *bnbr,
+              const double *bc, int64_t m, const int64_t *u, const int64_t *v,
+              const double *c, double *w0, int64_t *in_deg, double f_total,
+              int64_t *hptr, int64_t *hnbr, double *hc, int64_t *where,
+              int64_t *ptr, int64_t *nbr, double *cw);
 """
 
 SOURCE = r"""
@@ -264,6 +281,76 @@ void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
             }
         }
     }
+}
+
+double ingest(int64_t n0, int64_t n, const int64_t *bptr, const int64_t *bnbr,
+              const double *bc, int64_t m, const int64_t *u, const int64_t *v,
+              const double *c, double *w0, int64_t *in_deg, double f_total,
+              int64_t *hptr, int64_t *hnbr, double *hc, int64_t *where,
+              int64_t *ptr, int64_t *nbr, double *cw)
+{
+    int64_t i, x, j, k = 0;
+
+    /* 1. Vertex weights, object degrees and f, edge by edge in arrival order. */
+    for (i = 0; i < m; i++) {
+        w0[u[i]] += c[i];
+        w0[v[i]] += c[i];
+        in_deg[v[i]]++;
+        f_total += c[i];
+    }
+
+    /* 2. Bucket the new half-edges by endpoint, in arrival order within a
+          bucket; afterwards bucket x is [hptr[x - 1], hptr[x]). */
+    for (x = 0; x < n; x++)
+        hptr[x] = 0;
+    for (i = 0; i < m; i++) {
+        hptr[u[i]]++;
+        hptr[v[i]]++;
+    }
+    for (x = 0, j = 0; x < n; x++) {
+        int64_t d = hptr[x];
+        hptr[x] = j;
+        j += d;
+    }
+    for (i = 0; i < m; i++) {
+        j = hptr[u[i]]++;
+        hnbr[j] = v[i];
+        hc[j] = c[i];
+        j = hptr[v[i]]++;
+        hnbr[j] = u[i];
+        hc[j] = c[i];
+    }
+
+    /* 3. Each vertex's row: its base row, then its new half-edges. A
+          neighbour seen before adds to its entry (where[y] is its index),
+          so parallel edges sum left to right in arrival order and every
+          neighbour keeps the place of its first appearance. */
+    for (x = 0; x < n; x++)
+        where[x] = -1;
+    for (x = 0; x < n; x++) {
+        int64_t start = k;
+        ptr[x] = k;
+        if (x < n0)
+            for (j = bptr[x]; j < bptr[x + 1]; j++) {
+                where[bnbr[j]] = k;
+                nbr[k] = bnbr[j];
+                cw[k++] = bc[j];
+            }
+        for (j = x ? hptr[x - 1] : 0; j < hptr[x]; j++) {
+            int64_t y = hnbr[j];
+            if (where[y] >= 0) {
+                cw[where[y]] += hc[j];
+            } else {
+                where[y] = k;
+                nbr[k] = y;
+                cw[k++] = hc[j];
+            }
+        }
+        for (j = start; j < k; j++)
+            where[nbr[j]] = -1;
+    }
+    ptr[n] = k;
+    return f_total;
 }
 """
 

@@ -1,6 +1,7 @@
 """Shared test utilities for the Spade reproduction suite."""
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from itertools import combinations
@@ -96,6 +97,18 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     G = eng._suffix_densities()
     assert np.all(np.abs(G - g_all) <= 1e-9 * np.maximum(1.0, np.abs(g_all))), (
         "cached suffix densities drifted from a fresh computation"
+    )
+
+
+def engine_state(eng: SpadeEngine) -> tuple:
+    """Everything an update may change, copied for an unchanged-state check."""
+    arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._pend, eng._bmax,
+              eng._barg)
+    return (
+        copy.deepcopy(eng._adj), list(eng._in_deg), list(eng._w0), list(eng._a),
+        dict(eng._vid_of), eng.f_total, eng.n_edges, eng._lo, eng._hi, eng._det_lo,
+        eng.best_density, set(eng._community), list(eng._benign_buffer),
+        tuple(x.tobytes() for x in arrays),
     )
 
 

@@ -6,7 +6,6 @@ full recompute on every invalidation path, check that long streams do
 not drift from a scratch ``best_community``, and check that a rejected
 batch leaves every piece of state untouched.
 """
-import copy
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from repro.core import DG, DW, FD, Metric, SpadeEngine, validate_peeling
 from repro.core.peel import best_community
 from repro.datasets import edge_rows, load_preset
-from tests.helpers import assert_engine_valid, random_edges
+from tests.helpers import assert_engine_valid, engine_state, random_edges
 
 
 def assert_detect_matches_full(eng: SpadeEngine) -> None:
@@ -127,17 +126,6 @@ class TestSpanBookkeeping:
             assert_detect_matches_full(eng)
 
 
-def _state(eng: SpadeEngine) -> tuple:
-    arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._pend, eng._bmax,
-              eng._barg)
-    return (
-        copy.deepcopy(eng._adj), list(eng._in_deg), list(eng._w0), list(eng._a),
-        dict(eng._vid_of), eng.f_total, eng.n_edges, eng._lo, eng._hi, eng._det_lo,
-        eng.best_density, set(eng._community), list(eng._benign_buffer),
-        tuple(x.tobytes() for x in arrays),
-    )
-
-
 class TestAtomicRejection:
     """A rejected batch raises and leaves the engine exactly as it was."""
 
@@ -160,29 +148,29 @@ class TestAtomicRejection:
     )
     def test_insert_batch(self, batch, match):
         eng = _loaded(DW)
-        before = _state(eng)
+        before = engine_state(eng)
         with pytest.raises(ValueError, match=match):
             eng.insert_batch(batch)
-        assert _state(eng) == before
+        assert engine_state(eng) == before
         assert_engine_valid(eng)
 
     @pytest.mark.parametrize("metric", [DG, FD], ids=lambda m: m.name)
     @pytest.mark.parametrize("amount", [math.nan, math.inf])
     def test_nonfinite_amount_rejected_by_every_metric(self, metric, amount):
         eng = _loaded(metric)
-        before = _state(eng)
+        before = engine_state(eng)
         with pytest.raises(ValueError, match="finite"):
             eng.insert_edge("v1", "v2", amount)
-        assert _state(eng) == before
+        assert engine_state(eng) == before
 
     @pytest.mark.parametrize("prior", [-1.0, math.nan])
     def test_bad_prior_of_new_vertex(self, prior):
         eng = _loaded(FD)
-        before = _state(eng)
+        before = engine_state(eng)
         with pytest.raises(ValueError, match="vertex suspiciousness"):
             eng.insert_batch([("v1", "v2", 1.0), ("fresh", "v1", 1.0)],
                              priors={"fresh": prior})
-        assert _state(eng) == before
+        assert engine_state(eng) == before
 
     @pytest.mark.parametrize("prior", [-1.0, math.nan])
     def test_bad_default_prior(self, prior):
@@ -197,25 +185,25 @@ class TestAtomicRejection:
 
     def test_bulk_load(self):
         eng = _loaded(DW)
-        before = _state(eng)
+        before = engine_state(eng)
         with pytest.raises(ValueError, match="self-loop"):
             eng.bulk_load([("x", "y", 1.0), ("y", "y", 1.0)])
-        assert _state(eng) == before
+        assert engine_state(eng) == before
         for bad in (None, math.nan):
             with pytest.raises(ValueError, match="None or NaN"):
                 eng.bulk_load([("x", "y", 1.0), ("y", bad, 1.0)])
-            assert _state(eng) == before
+            assert engine_state(eng) == before
         with pytest.raises(ValueError, match="> 0, got 0.0"):
             eng.bulk_load([("x", "y", 1.0), ("y", "z", 0.0)])  # DW: c = amount = 0
-        assert _state(eng) == before
+        assert engine_state(eng) == before
         assert_engine_valid(eng)
         # A finite amount whose esusp overflows to c = inf.
         squared = Metric("DW2", vsusp=lambda prior: 0.0, esusp=lambda amount, deg: amount * amount)
         eng = _loaded(squared)
-        before = _state(eng)
+        before = engine_state(eng)
         with pytest.raises(ValueError, match="finite and > 0, got inf"):
             eng.bulk_load([("x", "y", 1.0), ("y", "z", 1e200)])
-        assert _state(eng) == before
+        assert engine_state(eng) == before
         assert_engine_valid(eng)
 
     def test_grouped_edge_rejected_on_arrival(self):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DG, DW, FD, SpadeEngine
-from repro.core.peel import peel_sequence
+from repro.core.peel import csr, peel_sequence
 from tests.helpers import assert_engine_valid, random_edges
 
 METRICS = [DG, DW, FD]
@@ -62,7 +62,7 @@ def test_exact_sequence_on_asymmetric_chain():
         eng.insert_edge(*e)
     eng.insert_edge("v3", "v4", 5.3)
     n, adj, a = eng.snapshot_graph()
-    order, delta = peel_sequence(n, adj, a)
+    order, delta = peel_sequence(n, *csr(adj), a)
     got = [eng._vid_of[x] for x in eng.order_external()]
     assert got == order
     assert list(eng.deltas()) == pytest.approx(delta)

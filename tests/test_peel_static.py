@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SpadeEngine, metric_by_name
-from repro.core.peel import best_community, peel, peel_sequence
+from repro.core.peel import best_community, csr, peel, peel_sequence
 from repro.core.validate import validate_peeling
 from repro.datasets import edge_rows, load_preset
 from tests.helpers import brute_force_best_density, heapq_peel_sequence
@@ -20,17 +20,17 @@ def _adj_from_edges(n, edges):
 
 class TestKnownGraphs:
     def test_single_vertex(self):
-        order, delta = peel_sequence(1, [{}], [0.5])
+        order, delta = peel_sequence(1, *csr([{}]), [0.5])
         assert order == [0] and delta == [0.5]
 
     def test_empty_graph(self):
-        order, delta = peel_sequence(0, [], [])
+        order, delta = peel_sequence(0, *csr([]), [])
         assert order == [] and delta == []
 
     def test_path_graph_peels_endpoints_first(self):
         # 0-1-2 unweighted path: an endpoint (degree 1) goes first.
         adj = _adj_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        order, delta = peel_sequence(3, adj, [0.0] * 3)
+        order, delta = peel_sequence(3, *csr(adj), [0.0] * 3)
         assert order[0] in (0, 2)
         assert delta[0] == 1.0
 
@@ -39,7 +39,7 @@ class TestKnownGraphs:
         # the center (the last leaf ties with the drained center, so the
         # very last slot depends on tie-breaking).
         adj = _adj_from_edges(5, [(0, i, 1.0) for i in range(1, 5)])
-        order, _ = peel_sequence(5, adj, [0.0] * 5)
+        order, _ = peel_sequence(5, *csr(adj), [0.0] * 5)
         assert order.index(0) >= 3
 
     def test_clique_density(self):
@@ -141,7 +141,7 @@ def test_random_graphs_produce_valid_sequences(data):
         edges.append((u, v, c))
     a = [data.draw(st.floats(0.0, 5.0, allow_nan=False)) for _ in range(n)]
     adj = _adj_from_edges(n, edges)
-    order, delta = peel_sequence(n, adj, a)
+    order, delta = peel_sequence(n, *csr(adj), a)
     validate_peeling(n, adj, a, order, delta)
 
 
@@ -175,7 +175,7 @@ def peel_inputs(draw):
 @example((4, _adj_from_edges(4, [(0, 1, 0.5), (1, 0, 0.25), (1, 2, 0.75)]), [0.0, 0.1, 0.0, 3.0]))
 def test_compiled_peel_matches_heapq_reference(case):
     n, adj, a = case
-    assert peel_sequence(n, adj, a) == heapq_peel_sequence(n, adj, a)
+    assert peel_sequence(n, *csr(adj), a) == heapq_peel_sequence(n, adj, a)
 
 
 @pytest.mark.parametrize("metric", ["DG", "DW", "FD"])

@@ -1,7 +1,7 @@
 """The greedy-sequence validator must accept valid peels and reject corruption."""
 import pytest
 
-from repro.core.peel import peel_sequence
+from repro.core.peel import csr, peel_sequence
 from repro.core.validate import validate_peeling
 
 
@@ -16,7 +16,7 @@ def _triangle():
 
 def test_accepts_static_peel_output():
     n, adj, a = _triangle()
-    order, delta = peel_sequence(n, adj, a)
+    order, delta = peel_sequence(n, *csr(adj), a)
     validate_peeling(n, adj, a, order, delta)
 
 
@@ -29,7 +29,7 @@ def test_rejects_wrong_order():
 
 def test_rejects_wrong_delta():
     n, adj, a = _triangle()
-    order, delta = peel_sequence(n, adj, a)
+    order, delta = peel_sequence(n, *csr(adj), a)
     bad = list(delta)
     bad[0] += 1.0
     with pytest.raises(AssertionError, match="stored"):
