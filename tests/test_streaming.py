@@ -2,10 +2,14 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import StreamingQueryException
 
 from repro.core import DW, FD, SpadeEngine
 from repro.datasets import edge_rows, load_preset
 from repro.spark.streaming import (
+    CHECKPOINT_MANAGER_KEY,
+    FS_CHECKPOINT_MANAGER,
+    ReplayResult,
     replay,
     replay_grouped,
     run_stream,
@@ -110,6 +114,101 @@ class TestStructuredStreaming:
         _assert_same_batches(result, replayed)
         assert edge_weight_map(eng_stream) == edge_weight_map(eng_replay)
         assert_engine_valid(eng_stream)
+
+
+FC_CHECKPOINT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing."
+    "FileContextBasedCheckpointFileManager"
+)
+
+
+def _log_managers(spark):
+    """Checkpoint file manager classes of the active query's offsets WAL,
+    commit log and file-source log, read through py4j (the source's log
+    is a private field, so it is read by reflection)."""
+    (query,) = spark.streams.active
+    execution = query._jsq.streamingQuery()
+    source = execution.sources().head()
+    field = source.getClass().getDeclaredField("metadataLog")
+    field.setAccessible(True)
+    logs = (execution.offsetLog(), execution.commitLog(), field.get(source))
+    return {log.fileManager().getClass().getName() for log in logs}
+
+
+class TestCheckpointManager:
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
+    @pytest.mark.parametrize("preset", [None, FC_CHECKPOINT_MANAGER], ids=["unset", "set"])
+    def test_manager_in_effect_while_batches_run_and_restored(
+        self, spark, data, tmp_path, preset, fail
+    ):
+        """Unless the session names a manager, every log of the query is
+        written through the FileSystem manager while batches run; either
+        way the session's value afterwards is the one it had before, also
+        when the handler raises."""
+        write_increment_files(data.increments, str(tmp_path / "in"), 4)
+        eng = _fresh_engine(data)
+        insert_batch = eng.insert_batch
+        seen = []
+
+        def spy(rows):
+            seen.append((spark.conf.get(CHECKPOINT_MANAGER_KEY, None), _log_managers(spark)))
+            if fail:
+                raise RuntimeError("handler fails")
+            return insert_batch(rows)
+
+        eng.insert_batch = spy
+        if preset is not None:
+            spark.conf.set(CHECKPOINT_MANAGER_KEY, preset)
+        try:
+            if fail:
+                with pytest.raises(StreamingQueryException):
+                    run_stream(spark, eng, str(tmp_path / "in"), str(tmp_path / "ckpt"))
+            else:
+                run_stream(spark, eng, str(tmp_path / "in"), str(tmp_path / "ckpt"))
+            assert spark.conf.get(CHECKPOINT_MANAGER_KEY, None) == preset
+        finally:
+            spark.conf.unset(CHECKPOINT_MANAGER_KEY)
+        want = preset or FS_CHECKPOINT_MANAGER
+        assert seen == [(want, {want})] * (1 if fail else 4)
+
+
+class TestRedelivery:
+    def test_restart_redelivers_the_uncommitted_batch(self, spark, data, tmp_path):
+        """A handler failure in batch 2 leaves it in the offsets WAL but
+        not in the commit log, so a second ``run_stream`` on the same
+        checkpoint, under the FileSystem manager, delivers exactly batches
+        2 and 3, and the engine, which kept its state across the failure,
+        ends equal to an uninterrupted run's. A restart that rebuilds the
+        engine from a snapshot is still ROADMAP item 2."""
+        write_increment_files(data.increments, str(tmp_path / "in"), 4)
+        eng = _fresh_engine(data)
+        insert_batch = eng.insert_batch
+        calls = []
+
+        def fail_third(rows):
+            calls.append(len(rows))
+            if len(calls) == 3:
+                raise RuntimeError("driver dies before batch 2 applies")
+            return insert_batch(rows)
+
+        eng.insert_batch = fail_third
+        with pytest.raises(StreamingQueryException):
+            run_stream(spark, eng, str(tmp_path / "in"), str(tmp_path / "ckpt"))
+        assert len(calls) == 3
+        del eng.insert_batch
+        resumed = run_stream(spark, eng, str(tmp_path / "in"), str(tmp_path / "ckpt"))
+        assert [d.batch_id for d in resumed.detections] == [2, 3]
+
+        eng_full = _fresh_engine(data)
+        full = run_stream(spark, eng_full, str(tmp_path / "in"), str(tmp_path / "ckpt-full"))
+        assert [d.batch_id for d in full.detections] == [0, 1, 2, 3]
+        _assert_same_batches(resumed, ReplayResult(full.detections[2:]))
+        assert eng.order_external() == eng_full.order_external()
+        assert eng.deltas().tolist() == eng_full.deltas().tolist()
+        assert eng.f_total == eng_full.f_total
+        assert eng.n_edges == eng_full.n_edges
+        assert eng.best_density == eng_full.best_density
+        assert_engine_valid(eng)
 
 
 class TestReplay:
