@@ -181,10 +181,11 @@ def run_stream(
     micro-batch, the Hadoop ``FileSystem`` one ≈7 ms. That manager
     commits a log file by ``rename``, which is atomic on a local POSIX
     filesystem (and on HDFS) but not on object stores, so any other
-    checkpoint keeps Spark's default. The conf stays set until the query
-    has terminated, because the file source and its ``sources/0`` log
-    are created on the stream thread after ``start()`` returns; it is
-    then unset again, also when the query fails.
+    checkpoint keeps Spark's default. The session-wide conf stays set
+    until the query has terminated, because the file source and its
+    ``sources/0`` log are created on the stream thread after ``start()``
+    returns; it is then unset, also when the query fails. A query
+    started on the same session meanwhile gets the manager too.
     """
     result = ReplayResult()
 
