@@ -53,10 +53,10 @@ and pick the best block, plus one ``O(BLOCK)`` rescan per block whose
 offset grew since its last scan and whose bound still wins. Both update
 paths apply their edges in one Python loop (``_add_edges``).
 
-A ``bulk_load`` runs on columns instead: ``_weigh_columns`` checks and
-weighs the whole load with numpy and one ``pd.factorize``, calling
-``esusp`` once per edge; the kernel's ``ingest`` merges it into the
-graph as CSR in ``O(|V| + |E|)``; the static peel of
+A ``bulk_load`` of an empty engine runs on columns instead:
+``_weigh_columns`` checks and weighs the whole load with numpy and one
+``pd.factorize``, calling ``esusp`` once per edge; the kernel's
+``ingest`` lays the load out as CSR in ``O(|V| + |E|)``; the static peel of
 :func:`~repro.core.peel.peel_sequence` runs its ``O(|E| log |V|)`` heap
 loop in C over that CSR; and one ``O(|V| + |E|)`` pass then builds the
 dict adjacency the Python reorder reads.
@@ -72,7 +72,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.kernel import ffi, lib
-from repro.core.peel import csr, peel_sequence
+from repro.core.peel import peel_sequence
 from repro.core.susp import Metric
 
 #: (src, dst, amount) with optional trailing fields ignored by the engine.
@@ -81,12 +81,11 @@ EdgeLike = Tuple
 #: Slots per ``Detect`` block; an engine keeps the value it was built with.
 BLOCK = 256
 
-#: Vertices per chunk when ``bulk_load`` turns its merged CSR into dicts.
+#: Vertices per chunk when ``bulk_load`` turns its CSR into dicts.
 _ROW_CHUNK = 4096
 
 
 def _ingest(
-    base: Tuple[np.ndarray, np.ndarray, np.ndarray],
     u: np.ndarray,
     v: np.ndarray,
     c: np.ndarray,
@@ -94,26 +93,21 @@ def _ingest(
     in_deg: np.ndarray,
     f_total: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Merge the edges ``(u, v, c)`` into the CSR ``base`` with the kernel.
+    """Lay the edges ``(u, v, c)`` among ``len(w0)`` vertices out as CSR.
 
-    ``base`` covers the first ``len(base[0]) - 1`` of the ``len(w0)``
-    vertices. ``w0`` and ``in_deg`` are updated in place; returns the
-    merged ``(ptr, nbr, c)`` and the new ``f_total`` (see ``ingest`` in
+    ``w0`` and ``in_deg`` are updated in place; returns the CSR
+    ``(ptr, nbr, c)`` and the new ``f_total`` (see ``ingest`` in
     :mod:`repro.core.kernel`).
     """
-    bptr, bnbr, bc = base
     n, m = len(w0), len(c)
     ptr = np.empty(n + 1, dtype=np.int64)
-    nbr = np.empty(len(bnbr) + 2 * m, dtype=np.int64)
-    cw = np.empty(len(bnbr) + 2 * m, dtype=np.float64)
+    nbr = np.empty(2 * m, dtype=np.int64)
+    cw = np.empty(2 * m, dtype=np.float64)
     fb = ffi.from_buffer
     f_total = lib.ingest(
-        len(bptr) - 1, n, fb("int64_t[]", bptr), fb("int64_t[]", bnbr), fb("double[]", bc),
-        m, fb("int64_t[]", u), fb("int64_t[]", v), fb("double[]", c),
+        n, m, fb("int64_t[]", u), fb("int64_t[]", v), fb("double[]", c),
         fb("double[]", w0), fb("int64_t[]", in_deg), f_total,
         fb("int64_t[]", np.empty(n, dtype=np.int64)),
-        fb("int64_t[]", np.empty(2 * m, dtype=np.int64)),
-        fb("double[]", np.empty(2 * m, dtype=np.float64)),
         fb("int64_t[]", np.empty(n, dtype=np.int64)),
         fb("int64_t[]", ptr), fb("int64_t[]", nbr), fb("double[]", cw),
     )
@@ -330,17 +324,21 @@ class SpadeEngine:
         edges: Iterable[EdgeLike],
         priors: Optional[Dict[Hashable, float]] = None,
     ) -> None:
-        """Load the initial graph and compute its peeling sequence.
+        """Load the initial graph of an empty engine and peel it.
 
         ``edges`` yields ``(src, dst, amount, ...)`` tuples, weighed by
-        ``esusp`` in arrival order exactly as ``insert_edge`` would. The
-        whole load is validated first: a rejected load leaves the engine
-        as it was. The load runs on columns (:meth:`_weigh_columns`, then
-        the kernel's ``ingest`` merges it into the graph as CSR and the
-        static peel runs over that CSR), and leaves the same adjacency,
-        vertex weights, degrees, vids and ``f_total``, to the bit, as
-        ``insert_batch`` of the same edges would.
+        ``esusp`` in arrival order exactly as ``insert_edge`` would. An
+        engine that already holds a vertex raises ``ValueError``: after
+        the load, the graph grows only through the insert APIs. The whole
+        load is validated first: a rejected load leaves the engine as it
+        was. The load runs on columns (:meth:`_weigh_columns`, then the
+        kernel's ``ingest`` lays it out as CSR and the static peel runs
+        over that CSR), and leaves the same adjacency, vertex weights,
+        degrees, vids and ``f_total``, to the bit, as ``insert_batch`` of
+        the same edges would.
         """
+        if self._ext_of:
+            raise ValueError("bulk_load needs an empty engine; insert into a loaded one")
         edges = edges if isinstance(edges, Sequence) else list(edges)
         priors = priors or {}
         try:
@@ -353,53 +351,46 @@ class SpadeEngine:
             except Exception as first:
                 raise first from None
             raise
-        n0, m = self.n_vertices, len(c)
-        n = n0 + len(new)
-        w0 = np.array(self._w0 + new_a, dtype=np.float64)
+        n, m = len(new), len(c)
+        w0 = np.array(new_a, dtype=np.float64)
         in_deg = np.zeros(n, dtype=np.int64)
-        in_deg[:n0] = self._in_deg
-        f_total = self._f_total
+        f_total = 0.0
         for a in new_a:  # vertex mass first, in intern order, as _intern adds it
             f_total += a
-        ptr, nbr, cw, f_total = _ingest(csr(self._adj), u, v, c, w0, in_deg, f_total)
+        ptr, nbr, cw, f_total = _ingest(u, v, c, w0, in_deg, f_total)
         del u, v, c  # free the load's columns before the peel and the dicts
         # One int object per vid, shared by _vid_of and every row naming it,
         # as the row path shares them (a fresh int per entry costs ~8 MB
         # on a 135K-edge load).
         vids = np.arange(n).astype(object)
-        self._vid_of.update(zip(new, vids[n0:]))
-        self._ext_of.extend(new)
-        self._a.extend(new_a)
+        self._vid_of = dict(zip(new, vids))
+        self._ext_of = list(new)
+        self._a = new_a
         self._w0 = w0.tolist()
         self._in_deg = in_deg.tolist()
         self._f_total = f_total
-        self._n_edges += m
+        self._n_edges = m
         self._reserve(n)
         self._rebuild_sequence(ptr, nbr, cw)
         self._write_rows(ptr, nbr, cw, vids)
 
     def _write_rows(self, ptr: np.ndarray, nbr: np.ndarray, cw: np.ndarray,
                     vids: np.ndarray) -> None:
-        """Write the merged CSR into the dict adjacency the reorder reads.
+        """Write the loaded CSR into the dict adjacency the reorder reads.
 
-        A known vertex's CSR row starts with its dict's own entries, so it
-        gains its new neighbours in place; a new vertex's row becomes a
-        new dict. Neighbour keys are the shared int objects of ``vids``.
-        Rows go over in chunks, so only one chunk's Python lists exist
-        beside the dicts: lists of the whole load would raise peak RSS.
+        Each CSR row becomes one dict; neighbour keys are the shared int
+        objects of ``vids``. Rows go over in chunks, so only one chunk's
+        Python lists exist beside the dicts: lists of the whole load would
+        raise peak RSS.
         """
-        adj, n0 = self._adj, len(self._adj)
+        adj = self._adj
         for lo in range(0, len(ptr) - 1, _ROW_CHUNK):
             hi = min(len(ptr) - 1, lo + _ROW_CHUNK)
             p0, p1 = int(ptr[lo]), int(ptr[hi])
             bounds = (ptr[lo : hi + 1] - p0).tolist()
             keys, vals = vids[nbr[p0:p1]].tolist(), cw[p0:p1].tolist()
-            for x, p, q in zip(range(lo, hi), bounds, bounds[1:]):
-                row = zip(keys[p:q], vals[p:q])
-                if x < n0:
-                    adj[x].update(row)
-                else:
-                    adj.append(dict(row))
+            for p, q in zip(bounds, bounds[1:]):
+                adj.append(dict(zip(keys[p:q], vals[p:q])))
 
     def _weigh_columns(
         self, edges: Sequence[EdgeLike], priors: Dict[Hashable, Optional[float]]
@@ -407,32 +398,25 @@ class SpadeEngine:
         """:meth:`_weigh` of a whole load on columns, mutating nothing.
 
         Interns the ids with one ``pd.factorize`` over the interleaved
-        ``src, dst`` column, so new vertices take vids from
-        ``n_vertices`` on in first-seen order, as ``_weigh`` lists them.
-        An edge's object degree is the in-degree its ``dst`` has plus
-        its rank among the load's edges into ``dst``; ``esusp`` runs once
-        per edge in arrival order. Returns the endpoint vids ``u, v``,
-        the weights ``c``, the new ids in vid order and their ``a``.
+        ``src, dst`` column: its codes are the vids, so vertices take vids
+        in first-seen order, as ``_weigh`` lists them. An edge's object
+        degree is its rank among the load's edges into ``dst``; ``esusp``
+        runs once per edge in arrival order. Returns the endpoint vids
+        ``u, v``, the weights ``c``, the ids in vid order and their ``a``.
         Raises ``ValueError`` on a failed check; it does not tell which
         row failed first.
         """
-        metric, m, n0 = self.metric, len(edges), self.n_vertices
+        metric, m = self.metric, len(edges)
         ends = np.empty(2 * m, dtype=object)
         ends[0::2] = [e[0] for e in edges]
         ends[1::2] = [e[1] for e in edges]
-        codes, uniques = pd.factorize(ends, sort=False)
+        codes, new = pd.factorize(ends, sort=False)
         del ends
         amounts = [e[2] for e in edges]
         amount = np.array(amounts, dtype=np.float64)
-        vid_of = self._vid_of
-        vid = np.fromiter((vid_of.get(x, -1) for x in uniques), dtype=np.int64,
-                          count=len(uniques))
-        fresh = vid < 0
-        vid[fresh] = np.arange(n0, n0 + int(fresh.sum()), dtype=np.int64)
-        new = uniques[fresh]
         if np.any(codes < 0):
             raise ValueError("a vertex id is None or NaN")
-        u, v = vid[codes[0::2]], vid[codes[1::2]]
+        u, v = codes[0::2].astype(np.int64), codes[1::2].astype(np.int64)
         if np.any(u == v) or not np.all(np.isfinite(amount)):
             raise ValueError("a self-loop or a non-finite amount")
         default_a, vsusp = self._default_a, metric.vsusp
@@ -448,8 +432,6 @@ class SpadeEngine:
         rank = np.arange(1, m + 1) - np.maximum.accumulate(np.where(head, np.arange(m), 0))
         deg = np.empty(m, dtype=np.int64)
         deg[by_dst] = rank
-        known = v < n0
-        deg[known] += np.asarray(self._in_deg, dtype=np.int64)[v[known]]
         c = np.fromiter(map(metric.esusp, map(float, amounts), deg.tolist()),
                         dtype=np.float64, count=m)
         if not np.all((c > 0) & (c < math.inf)):
@@ -666,8 +648,6 @@ class SpadeEngine:
                             wT[u] -= c
                             heapq.heappush(heap, (wT[u], u))
                 continue
-            if k >= end:
-                continue  # wT must be empty; loop top closes and breaks
             vk = int(order[k])
             if vk in black or vk in gray:
                 # Case 2(a): affected vertex — recover its true current
@@ -729,18 +709,9 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     # public update APIs (paper Listing 1)
     # ------------------------------------------------------------------
-    def insert_edge(
-        self,
-        src: Hashable,
-        dst: Hashable,
-        amount: float = 1.0,
-        src_prior: Optional[float] = None,
-        dst_prior: Optional[float] = None,
-    ) -> Set[Hashable]:
+    def insert_edge(self, src: Hashable, dst: Hashable, amount: float = 1.0) -> Set[Hashable]:
         """InsertEdge: apply one edge and reorder (§4.1). Returns new fraudsters."""
-        return self.insert_batch(
-            [(src, dst, amount)], priors={src: src_prior, dst: dst_prior}
-        )
+        return self.insert_batch([(src, dst, amount)])
 
     def insert_batch(
         self,
@@ -749,13 +720,22 @@ class SpadeEngine:
     ) -> Set[Hashable]:
         """InsertBatchEdges: apply ``ΔE`` and reorder once (Algorithm 2).
 
-        The batch is validated as a whole first: a rejected batch raises
-        ``ValueError`` and leaves the engine untouched.
+        Buffered benign edges arrived first, so they join the batch ahead
+        of ``edges`` and the buffer empties once the batch is applied. The
+        batch is validated as a whole first: a rejected batch raises
+        ``ValueError`` and leaves the engine and the buffer untouched.
         """
+        buffered = self._benign_buffer
+        if buffered and edges is not buffered:
+            edges = buffered + list(edges)
         cs, new_a = self._weigh(edges, priors or {})
         for ext, a in new_a.items():
             self._insert_head(self._intern(ext, a))
-        return self._refresh_detection(self._reorder(self._add_edges(edges, cs)))
+        fresh = self._refresh_detection(self._reorder(self._add_edges(edges, cs)))
+        if buffered:
+            self._benign_buffer = []
+            self._buffered_in.clear()
+        return fresh
 
     # ------------------------------------------------------------------
     # edge grouping (§4.3)
@@ -791,10 +771,10 @@ class SpadeEngine:
         streams still flush periodically (the paper's buffer is flushed
         by urgent edges; Table 5's grouping rows accumulate >1K edges).
         The edge is validated on arrival at the in-degree its object
-        vertex will have when the buffer is flushed, so the buffered edges
-        pass their flush's validation unless the graph changed in
-        between. A call that raises leaves the graph, the sequence and
-        the buffer as they were.
+        vertex will have when the buffer is flushed; every later insert
+        applies the buffer ahead of its own edges, so those degrees hold.
+        A call that raises leaves the graph, the sequence and the buffer
+        as they were.
         """
         self._weigh([(src, dst, amount)], {}, queued=self._buffered_in)
         urgent = not self.is_benign(src, dst, amount)
@@ -817,7 +797,4 @@ class SpadeEngine:
         """
         if not self._benign_buffer:
             return set()
-        fresh = self.insert_batch(self._benign_buffer)
-        self._benign_buffer = []
-        self._buffered_in.clear()
-        return fresh
+        return self.insert_batch(self._benign_buffer)

@@ -36,17 +36,16 @@ min-heap on ``(w, vid)`` with lazy deletion, filling ``order`` and
 ``hw``/``hv`` hold ``n + ptr[n]`` entries; the caller checks that every
 neighbour id lies in ``[0, n)``.
 
-``ingest`` merges ``m`` new edges ``(u, v, c)`` into a base CSR of the
-first ``n0`` of ``n`` vertices, whose rows hold distinct neighbours (see
-:meth:`~repro.core.engine.SpadeEngine.bulk_load`). It adds each edge to
-``w0`` of both endpoints, to ``in_deg`` of ``v`` and to ``f_total``, in
-arrival order, and writes the merged CSR to ``ptr``/``nbr``/``cw``
-(``cw`` and ``nbr`` hold ``bptr[n0] + 2m`` entries): a row keeps its base
-entries, then gains its new neighbours in order of first appearance, and
-parallel edges add to their entry one by one in arrival order. These are
-the floats a dict adjacency gets from ``adj[u][v] = adj[u].get(v, 0.0) +
-c``. It returns the new ``f_total``; ``hptr``/``where`` (``n`` long) and
-``hnbr``/``hc`` (``2m``) are scratch.
+``ingest`` lays a load of ``m`` edges ``(u, v, c)`` among ``n`` vertices
+out as CSR (see :meth:`~repro.core.engine.SpadeEngine.bulk_load`). It
+adds each edge to ``w0`` of both endpoints, to ``in_deg`` of ``v`` and to
+``f_total``, in arrival order, and writes the CSR to ``ptr``/``nbr``/``cw``
+(``nbr`` and ``cw`` hold ``2m`` entries, the bucketed half-edges before
+they are compacted): a row lists its neighbours in order of first
+appearance, and parallel edges add to their entry one by one in arrival
+order. These are the floats a dict adjacency gets from ``adj[u][v] =
+adj[u].get(v, 0.0) + c``. It returns the new ``f_total``; ``hptr`` and
+``where`` (``n`` long) are scratch.
 """
 from __future__ import annotations
 
@@ -70,11 +69,9 @@ int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
 void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
           const double *a, int64_t *order, double *delta, double *w, double *hw,
           int64_t *hv, uint8_t *removed);
-double ingest(int64_t n0, int64_t n, const int64_t *bptr, const int64_t *bnbr,
-              const double *bc, int64_t m, const int64_t *u, const int64_t *v,
+double ingest(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
               const double *c, double *w0, int64_t *in_deg, double f_total,
-              int64_t *hptr, int64_t *hnbr, double *hc, int64_t *where,
-              int64_t *ptr, int64_t *nbr, double *cw);
+              int64_t *hptr, int64_t *where, int64_t *ptr, int64_t *nbr, double *cw);
 """
 
 SOURCE = r"""
@@ -283,11 +280,9 @@ void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
     }
 }
 
-double ingest(int64_t n0, int64_t n, const int64_t *bptr, const int64_t *bnbr,
-              const double *bc, int64_t m, const int64_t *u, const int64_t *v,
+double ingest(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
               const double *c, double *w0, int64_t *in_deg, double f_total,
-              int64_t *hptr, int64_t *hnbr, double *hc, int64_t *where,
-              int64_t *ptr, int64_t *nbr, double *cw)
+              int64_t *hptr, int64_t *where, int64_t *ptr, int64_t *nbr, double *cw)
 {
     int64_t i, x, j, k = 0;
 
@@ -299,8 +294,8 @@ double ingest(int64_t n0, int64_t n, const int64_t *bptr, const int64_t *bnbr,
         f_total += c[i];
     }
 
-    /* 2. Bucket the new half-edges by endpoint, in arrival order within a
-          bucket; afterwards bucket x is [hptr[x - 1], hptr[x]). */
+    /* 2. Bucket the half-edges by endpoint into nbr/cw, in arrival order
+          within a bucket; afterwards bucket x is [hptr[x - 1], hptr[x]). */
     for (x = 0; x < n; x++)
         hptr[x] = 0;
     for (i = 0; i < m; i++) {
@@ -314,36 +309,31 @@ double ingest(int64_t n0, int64_t n, const int64_t *bptr, const int64_t *bnbr,
     }
     for (i = 0; i < m; i++) {
         j = hptr[u[i]]++;
-        hnbr[j] = v[i];
-        hc[j] = c[i];
+        nbr[j] = v[i];
+        cw[j] = c[i];
         j = hptr[v[i]]++;
-        hnbr[j] = u[i];
-        hc[j] = c[i];
+        nbr[j] = u[i];
+        cw[j] = c[i];
     }
 
-    /* 3. Each vertex's row: its base row, then its new half-edges. A
-          neighbour seen before adds to its entry (where[y] is its index),
-          so parallel edges sum left to right in arrival order and every
-          neighbour keeps the place of its first appearance. */
+    /* 3. Compact each bucket into its row, in place: the next entry k never
+          passes the half-edge j being read. A neighbour seen before adds to
+          its entry (where[y] is its index), so parallel edges sum left to
+          right in arrival order and every neighbour keeps the place of its
+          first appearance. */
     for (x = 0; x < n; x++)
         where[x] = -1;
     for (x = 0; x < n; x++) {
         int64_t start = k;
         ptr[x] = k;
-        if (x < n0)
-            for (j = bptr[x]; j < bptr[x + 1]; j++) {
-                where[bnbr[j]] = k;
-                nbr[k] = bnbr[j];
-                cw[k++] = bc[j];
-            }
         for (j = x ? hptr[x - 1] : 0; j < hptr[x]; j++) {
-            int64_t y = hnbr[j];
+            int64_t y = nbr[j];
             if (where[y] >= 0) {
-                cw[where[y]] += hc[j];
+                cw[where[y]] += cw[j];
             } else {
                 where[y] = k;
                 nbr[k] = y;
-                cw[k++] = hc[j];
+                cw[k++] = cw[j];
             }
         }
         for (j = start; j < k; j++)

@@ -1,9 +1,10 @@
 """``bulk_load``'s columnar path against ``insert_batch``'s row path.
 
-``bulk_load`` weighs a load on columns and merges it with the kernel's
-``ingest``; ``insert_batch`` weighs and applies row by row. On the same
-engine state and the same rows, both must leave the same graph to the
-bit, and reject a malformed load with the same first error.
+``bulk_load`` weighs a load on columns and lays it out as CSR with the
+kernel's ``ingest``; ``insert_batch`` weighs and applies row by row. On
+an empty engine and the same rows, both must leave the same graph to the
+bit, and reject a malformed load with the same first error. A loaded
+engine refuses a ``bulk_load``.
 """
 import math
 
@@ -37,7 +38,7 @@ def vertex_id(kind, i, variant):
 
 @st.composite
 def loads(draw):
-    """A metric, an id kind, an optional preload, the rows and priors."""
+    """A metric, an id kind, the rows and priors."""
     metric = draw(st.sampled_from(["DG", "DW", "FD"]))
     kind = draw(st.sampled_from(["str", "int", "tuple", "mixed"]))
     pool = draw(st.integers(2, 9))
@@ -50,20 +51,15 @@ def loads(draw):
         raw = draw(st.lists(st.tuples(pair, amount, st.integers(0, 2)), max_size=max_size))
         return [(vertex_id(kind, s, k), vertex_id(kind, d, k), a) for (s, d), a, k in raw]
 
-    preload = rows(12) if draw(st.booleans()) else None
     load = rows(30)
     prior = st.floats(0.0, 5.0, allow_nan=False)
     priors = {vertex_id(kind, i, 0): draw(prior) for i in range(pool) if draw(st.booleans())}
-    return METRICS[metric], preload, load, priors
+    return METRICS[metric], load, priors
 
 
-def engine_pair(metric, preload, priors):
-    """Two engines in the same state: empty, or bulk-loaded with ``preload``."""
-    engines = (SpadeEngine(metric, vertex_prior=0.25), SpadeEngine(metric, vertex_prior=0.25))
-    if preload is not None:
-        for eng in engines:
-            eng.bulk_load(preload, priors=priors)
-    return engines
+def engine_pair(metric):
+    """Two empty engines."""
+    return SpadeEngine(metric, vertex_prior=0.25), SpadeEngine(metric, vertex_prior=0.25)
 
 
 def graph(eng):
@@ -82,16 +78,16 @@ def graph(eng):
 
 @settings(max_examples=200, deadline=None)
 @given(loads())
-# Parallel edges past 8 copies of 0.1 onto a preloaded pair, under FD.
-@example((FD, [("a", "b", 0.1)], [("a", "b", 0.1)] * 12 + [("b", "c", 0.1)], {"c": 2.0}))
-# New vertices' priors join f_total one by one, after the preload's mass.
-@example((FD, [("a", "b", 1.0)], [("c", "d", 1.0), ("e", "a", 1.0)],
+# Parallel edges past 8 copies of 0.1 onto one pair, under FD.
+@example((FD, [("a", "b", 0.1)] * 13 + [("b", "c", 0.1)], {"c": 2.0}))
+# New vertices' priors join f_total one by one, after the default mass.
+@example((FD, [("a", "b", 1.0), ("c", "d", 1.0), ("e", "a", 1.0)],
           {"c": 0.1, "d": 0.2, "e": 0.9}))
 # One vertex spelled 1, 1.0 and np.int64(1): the first spelling is kept.
-@example((DW, None, [(1, 2, 1.0), (1.0, 3, 2.0), (np.int64(1), 2.0, 0.5)], {}))
+@example((DW, [(1, 2, 1.0), (1.0, 3, 2.0), (np.int64(1), 2.0, 0.5)], {}))
 def test_bulk_load_matches_insert_batch(case):
-    metric, preload, load, priors = case
-    bulk, rows = engine_pair(metric, preload, priors)
+    metric, load, priors = case
+    bulk, rows = engine_pair(metric)
     bulk.bulk_load(load, priors=priors)
     rows.insert_batch(load, priors=priors)
     assert graph(bulk) == graph(rows)
@@ -118,20 +114,20 @@ BAD_ROWS = {
 @given(loads(), st.sampled_from(["DW", "EDGE", "FD", "DG"]),
        st.lists(st.tuples(st.sampled_from(sorted(BAD_ROWS)), st.integers(0, 40)),
                 min_size=1, max_size=2))
-@example((DW, [("a", "b", 1.0)], [("a", "b", 2.0), ("b", "c", 1.0)], {}), "DW",
+@example((DW, [("a", "b", 2.0), ("b", "c", 1.0)], {}), "DW",
          [("self-loop", 1), ("none-src", 0)])
 def test_malformed_load_raises_the_row_paths_first_error(case, metric, bad):
     """Every malformed row kind, one or two of them at any position: the
     load fails with the message ``insert_batch`` gives (its first failing
     row) and changes nothing. Kinds a metric accepts (a zero amount under
     DG, say) must then load identically on both paths."""
-    _, preload, load, priors = case
+    _, load, priors = case
     metric = METRICS[metric]
     priors = {**priors, "fresh": -1.0}
     x, y = ("a", "b") if not load else load[0][:2]
     for kind, at in bad:
         load.insert(min(at, len(load)), BAD_ROWS[kind](x, y))
-    bulk, rows = engine_pair(metric, preload, {})
+    bulk, rows = engine_pair(metric)
     before = engine_state(bulk)
     want = None
     try:
@@ -148,3 +144,50 @@ def test_malformed_load_raises_the_row_paths_first_error(case, metric, bad):
         bulk.bulk_load(load, priors=priors)
     assert str(got.value) == want
     assert engine_state(bulk) == before
+
+
+def _loaded():
+    eng = SpadeEngine(DW, vertex_prior=0.25)
+    eng.bulk_load([("a", "b", 20.0), ("c", "d", 1.0), ("d", "e", 1.0)])
+    return eng
+
+
+def _inserted():
+    eng = SpadeEngine(DW, vertex_prior=0.25)
+    eng.insert_edge("a", "b", 2.0)
+    return eng
+
+
+def _buffering():
+    eng = _loaded()
+    eng.insert_grouped("c", "e", 0.5)  # benign: w + c < g(S^P) = 10.25
+    assert eng.buffered_edges == 1
+    return eng
+
+
+@pytest.mark.parametrize("make", [_loaded, _inserted, _buffering],
+                         ids=["bulk-loaded", "inserted", "buffering"])
+def test_bulk_load_refuses_an_engine_that_holds_a_vertex(make):
+    eng = make()
+    before = engine_state(eng)
+    with pytest.raises(ValueError, match="empty engine"):
+        eng.bulk_load([("x", "y", 1.0), ("a", "x", 3.0)])
+    with pytest.raises(ValueError, match="empty engine"):
+        eng.bulk_load([])
+    assert engine_state(eng) == before
+    assert_engine_valid(eng)
+
+
+@pytest.mark.parametrize("metric", ["DG", "DW", "FD"])
+def test_rejected_load_leaves_the_engine_empty(metric):
+    """A malformed load leaves the engine empty, so a valid load still
+    lands on it exactly as ``insert_batch`` applies the same rows."""
+    metric = METRICS[metric]
+    bulk, rows = engine_pair(metric)
+    with pytest.raises(ValueError, match="self-loop"):
+        bulk.bulk_load([("a", "b", 1.0), ("b", "b", 1.0)])
+    load = [("a", "b", 0.1)] * 9 + [("b", "c", 2.0), ("c", "a", 0.5)]
+    bulk.bulk_load(load, priors={"c": 1.5})
+    rows.insert_batch(load, priors={"c": 1.5})
+    assert graph(bulk) == graph(rows)
+    assert_engine_valid(bulk)

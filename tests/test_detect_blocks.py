@@ -92,7 +92,7 @@ def test_block_detect_matches_full_recompute(data):
 
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
         kind = data.draw(st.sampled_from(
-            ["edge", "batch", "grouped", "reject", "regrow", "bulk"]), label="kind")
+            ["edge", "batch", "grouped", "reject", "regrow"]), label="kind")
         if kind == "edge":
             eng.insert_edge(*renamed(data.draw(edges(n_new=2, max_size=1)))[0])
         elif kind == "batch":
@@ -115,8 +115,6 @@ def test_block_detect_matches_full_recompute(data):
             backing = len(eng._order)
             eng.insert_batch(batch)
             assert len(eng._order) > backing, "the front gap did not regrow"
-        else:
-            eng.bulk_load(renamed(data.draw(edges(n_new=3))))
         assert_blocks_match_full(eng)
     eng.flush_buffer()
     assert_blocks_match_full(eng)

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import DG, DW, FD, Metric, SpadeEngine
-from tests.helpers import assert_engine_valid, random_edges
+from tests.helpers import assert_engine_valid, edge_weight_map, random_edges
 
 METRICS = [DG, DW, FD]
 
@@ -141,8 +141,8 @@ FALLING = Metric("FALLING", vsusp=lambda prior: float(prior),
 class TestBufferValidation:
     """A buffered edge is weighed at its flush degree; a failed flush keeps the buffer."""
 
-    def _engine(self):
-        eng = SpadeEngine(FALLING)
+    def _engine(self, metric=FALLING):
+        eng = SpadeEngine(metric)
         eng.bulk_load([("a", "b", 1.0)], priors={"a": 100.0, "b": 100.0})
         assert eng.is_benign("x1", "m")  # g(S^P) = 101
         return eng
@@ -165,20 +165,50 @@ class TestBufferValidation:
         assert eng.n_edges == 3 and eng.buffered_edges == 0
         assert_engine_valid(eng)
 
-    def test_rejected_flush_keeps_the_buffer(self):
+    def test_direct_insert_applies_the_buffer_first(self):
+        """Buffered edges arrived first, so a direct insert weighs them
+        ahead of its own edges, in the same batch."""
+        eng = self._engine()
+        eng.insert_grouped("x1", "m")  # degree 1: c = 2
+        eng.insert_edge("y", "m")  # degree 2, behind x1: c = 1
+        assert eng.n_edges == 3 and eng.buffered_edges == 0
+        weights = edge_weight_map(eng)
+        assert (weights["x1", "m"], weights["y", "m"]) == (2.0, 1.0)
+        assert_engine_valid(eng)
+
+    def test_rejected_direct_insert_keeps_the_buffer(self):
         eng = self._engine()
         eng.insert_grouped("x1", "m")
         eng.insert_grouped("x2", "m")
-        eng.insert_edge("y", "m")  # the flush would now weigh x2 -> m at degree 3
+        before = self._state(eng)
+        with pytest.raises(ValueError, match="edge suspiciousness"):
+            eng.insert_edge("y", "m")  # degree 3, behind x1 and x2: c = 0
+        assert self._state(eng) == before
+        eng.flush_buffer()
+        assert eng.n_edges == 3 and eng.buffered_edges == 0
+        assert_engine_valid(eng)
+
+    def test_rejected_flush_keeps_the_buffer(self):
+        rejected = set()  # amounts whose edges fail, switched on after buffering
+        metric = Metric("SWITCH", vsusp=lambda prior: float(prior),
+                        esusp=lambda amount, deg: -1.0 if amount in rejected else 3.0 - deg)
+        eng = self._engine(metric)
+        eng.insert_grouped("x1", "m")
+        eng.insert_grouped("x2", "m")
+        rejected.add(1.0)
         before = self._state(eng)
         with pytest.raises(ValueError, match="edge suspiciousness"):
             eng.flush_buffer()
         assert self._state(eng) == before
-        # An urgent edge's flush fails the same way and drops only that edge.
-        assert not eng.is_benign("a", "z")
+        # An urgent edge that passes on arrival fails its flush the same way,
+        # and only that edge is dropped.
+        assert not eng.is_benign("a", "z", 2.0)
         with pytest.raises(ValueError, match="edge suspiciousness"):
-            eng.insert_grouped("a", "z")
+            eng.insert_grouped("a", "z", 2.0)
         assert self._state(eng) == before
+        rejected.clear()
+        eng.flush_buffer()
+        assert eng.n_edges == 3 and eng.buffered_edges == 0
         assert_engine_valid(eng)
 
 

@@ -102,7 +102,10 @@ class TestSpanBookkeeping:
         eng.bulk_load(edges[:10])
         eng.insert_batch(edges[10:20])
         assert_detect_matches_full(eng)
-        eng.bulk_load(edges[20:30])
+        with pytest.raises(ValueError, match="empty engine"):
+            eng.bulk_load(edges[20:30])
+        assert_detect_matches_full(eng)
+        eng.insert_batch(edges[20:30])
         assert_detect_matches_full(eng)
         eng.insert_batch(edges[30:])
         assert_detect_matches_full(eng)
@@ -184,7 +187,7 @@ class TestAtomicRejection:
             assert eng.is_benign("x", "y", 1.0)  # w = 0 + 1 < g(S^P) >= 2
 
     def test_bulk_load(self):
-        eng = _loaded(DW)
+        eng = SpadeEngine(DW, vertex_prior=0.2)
         before = engine_state(eng)
         with pytest.raises(ValueError, match="self-loop"):
             eng.bulk_load([("x", "y", 1.0), ("y", "y", 1.0)])
@@ -199,7 +202,7 @@ class TestAtomicRejection:
         assert_engine_valid(eng)
         # A finite amount whose esusp overflows to c = inf.
         squared = Metric("DW2", vsusp=lambda prior: 0.0, esusp=lambda amount, deg: amount * amount)
-        eng = _loaded(squared)
+        eng = SpadeEngine(squared, vertex_prior=0.2)
         before = engine_state(eng)
         with pytest.raises(ValueError, match="finite and > 0, got inf"):
             eng.bulk_load([("x", "y", 1.0), ("y", "z", 1e200)])

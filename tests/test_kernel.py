@@ -141,29 +141,23 @@ def test_peel_rejects_malformed_input_before_the_kernel(monkeypatch, n, adj, a):
 
 @st.composite
 def ingests(draw):
-    """A base graph of ``n0`` vertices and new edges among ``n >= n0``.
+    """A load of edges among ``n`` vertices, and the ``w0``, ``in_deg`` and
+    ``f_total`` it adds to.
 
     Weights come from a small set with many 0.1s, so parallel edges pile
-    up; the base rows are built by the dict oracle, so each holds
-    distinct neighbours in first-appearance order.
+    up.
     """
-    n0 = draw(st.integers(0, 6))
-    n = n0 + draw(st.integers(0 if n0 >= 2 else 2 - n0, 4))
+    n = draw(st.integers(2, 10))
     weights = st.one_of(st.sampled_from([0.1, 0.1, 0.3, 1.0, 7.25]),
                         st.floats(1e-3, 1e3, allow_nan=False))
-
-    def edges(k, size):
-        pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
-            lambda p: p[0] != p[1])
-        return draw(st.lists(st.tuples(pair, weights).map(lambda t: (*t[0], t[1])),
-                             max_size=size)) if k >= 2 else []
-
-    base = edges(n0, 12)
-    new = edges(n, 30)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges = draw(st.lists(st.tuples(pair, weights).map(lambda t: (*t[0], t[1])),
+                          max_size=42))
     w0 = draw(st.lists(st.floats(0, 50, allow_nan=False), min_size=n, max_size=n))
     in_deg = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     f_total = draw(st.floats(0, 1e3, allow_nan=False))
-    return n0, n, base, new, w0, in_deg, f_total
+    return n, edges, w0, in_deg, f_total
 
 
 def dict_ingest(adj, edges, w0, in_deg, f_total):
@@ -180,27 +174,24 @@ def dict_ingest(adj, edges, w0, in_deg, f_total):
 
 @settings(max_examples=300, deadline=None)
 @given(ingests())
-# More than 8 parallel 0.1 edges onto a base edge: a pairwise sum (as
+# More than 8 parallel 0.1 edges onto one pair: a pairwise sum (as
 # np.add.reduceat takes) would round differently from the sequential one.
-@example((2, 3, [(0, 1, 0.1)], [(0, 1, 0.1)] * 12 + [(2, 1, 0.1), (1, 2, 0.1)] * 5
-          + [(2, 0, 0.3)], [0.0, 0.5, 0.0], [1, 0, 0], 0.7))
-# An empty base graph, and new neighbours arriving in both directions.
-@example((0, 4, [], [(3, 1, 1.0), (0, 3, 0.1), (1, 3, 0.1), (2, 0, 7.25), (3, 0, 0.1)],
+@example((3, [(0, 1, 0.1)] * 13 + [(2, 1, 0.1), (1, 2, 0.1)] * 5 + [(2, 0, 0.3)],
+          [0.0, 0.5, 0.0], [1, 0, 0], 0.7))
+# New neighbours arriving in both directions.
+@example((4, [(3, 1, 1.0), (0, 3, 0.1), (1, 3, 0.1), (2, 0, 7.25), (3, 0, 0.1)],
           [0.0] * 4, [0] * 4, 0.0))
 def test_ingest_matches_dict_oracle(case):
-    n0, n, base_edges, new_edges, w0, in_deg, f_total = case
-    base = [{} for _ in range(n0)]
-    dict_ingest(base, base_edges, [0.0] * n0, [0] * n0, 0.0)
-    want_adj = [dict(row) for row in base] + [{} for _ in range(n0, n)]
+    n, edges, w0, in_deg, f_total = case
+    want_adj = [{} for _ in range(n)]
     want_w0, want_deg = list(w0), list(in_deg)
-    want_f = dict_ingest(want_adj, new_edges, want_w0, want_deg, f_total)
+    want_f = dict_ingest(want_adj, edges, want_w0, want_deg, f_total)
 
-    cols = np.array(new_edges, dtype=np.float64).reshape(-1, 3)
+    cols = np.array(edges, dtype=np.float64).reshape(-1, 3)
     u, v = (np.ascontiguousarray(cols[:, i], dtype=np.int64) for i in (0, 1))
     got_w0 = np.array(w0, dtype=np.float64)
     got_deg = np.array(in_deg, dtype=np.int64)
-    ptr, nbr, c, got_f = engine_mod._ingest(peel_mod.csr(base), u, v, cols[:, 2].copy(),
-                                            got_w0, got_deg, f_total)
+    ptr, nbr, c, got_f = engine_mod._ingest(u, v, cols[:, 2].copy(), got_w0, got_deg, f_total)
 
     want_ptr, want_nbr, want_c = peel_mod.csr(want_adj)
     np.testing.assert_array_equal(ptr, want_ptr)
