@@ -12,7 +12,11 @@ For every dataset and every metric (DG/DW/FD) this harness measures:
 Per-edge timing includes detection after every batch, matching the
 paper's workflow (every insertion returns the new fraudster set). The
 |ΔE|=1 replay is capped at ``--max-single`` edges to bound job time;
-the cap is recorded in the output.
+the cap is recorded in the output. Every incremental cell is measured
+``REPEATS`` times, in rounds that each measure every cell once, so a
+slow spell of the machine spreads over all cells rather than landing on
+one; a cell's column holds the median and its ``_iqr`` column, beside
+it, the interquartile range.
 
 Run: ``python jobs/table4_incremental.py [--quick] [--json PATH]``.
 ``--json`` appends one record to the JSON list at ``PATH`` (created if
@@ -30,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+import numpy as np
 import pandas as pd
 
 from repro.core import SpadeEngine, metric_by_name
@@ -39,6 +44,8 @@ from repro.spark.streaming import replay, static_time
 
 BATCH_SIZES = [1, 10, 100, 1_000, 10_000]
 METRICS = ["DG", "DW", "FD"]
+#: Measurements of every incremental cell.
+REPEATS = 5
 
 
 def incremental_per_edge_us(
@@ -68,11 +75,16 @@ def run(
         row = {"dataset": name, "inc_edges": len(data.increments)}
         for m in METRICS:
             row[f"{m}_static_s"] = round(static_time(data, metric_by_name(m)), 4)
-        for b in BATCH_SIZES:
-            cap = max_single if b == 1 else None
-            for m in METRICS:
-                us = incremental_per_edge_us(data, m, b, max_edges=cap)
-                row[f"Inc{m}-{b}_us"] = round(us, 1)
+        cells = [(b, m) for b in BATCH_SIZES for m in METRICS]
+        times = {cell: [] for cell in cells}
+        for _ in range(REPEATS):
+            for b, m in cells:
+                cap = max_single if b == 1 else None
+                times[b, m].append(incremental_per_edge_us(data, m, b, max_edges=cap))
+        for b, m in cells:
+            q1, med, q3 = np.percentile(times[b, m], [25, 50, 75])
+            row[f"Inc{m}-{b}_us"] = round(float(med), 1)
+            row[f"Inc{m}-{b}_us_iqr"] = round(float(q3 - q1), 1)
         rows.append(row)
         print(f"[table4] {name}: {row}", flush=True)
     return pd.DataFrame(rows)

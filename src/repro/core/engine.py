@@ -28,11 +28,12 @@ graph — identical to a static rerun up to tie-breaking. New vertices
 are head-inserted with ``Δ_0 = 0`` (paper §4.1), the only sound lower
 bound for a slot with no greedy history. White frontier vertices have
 ``w = Δ_slot[k]`` exactly (no neighbor ever entered ``T``), so runs of
-whites are emitted *in bulk*: the compiled ``white_run`` scans forward
-to the first ``Δ >= Δ_min`` and moves the run down to the output slot in
-one call. The python-level loop touches only the affected area ``G_T``
-(T entries, pops, and gray recoveries), which is what makes per-edge
-maintenance orders of magnitude faster than a scratch peel.
+whites are emitted *in bulk*: the walk scans forward to the first
+``Δ >= Δ_min`` or the first black or gray slot and moves the run down
+to the output slot. The walk touches only the affected area ``G_T``
+(T entries, pops, and gray recoveries) plus the slots it moves, which
+is what makes per-edge maintenance orders of magnitude faster than a
+scratch peel.
 
 Emissions are written back in place as the frontier advances, and
 ``Detect`` keeps ``f(S_j)`` per slot under per-block lazy offsets and
@@ -44,22 +45,33 @@ enters as one span over every slot, a front-gap regrow carries the
 cached slots along with the sequence, and an empty batch rewrites an
 empty span.
 
-Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update in
-Python, plus one kernel call per white run, plus ``O(span)`` sequential
-work in C over the rewritten span (the white-run scans and moves, the
-suffix-weight re-accumulation and the rescan of its blocks), plus
-``O(n / BLOCK)`` for ``Detect`` to shift the earlier blocks' offsets
-and pick the best block, plus one ``O(BLOCK)`` rescan per block whose
-offset grew since its last scan and whose bound still wins. Both update
-paths apply their edges in one Python loop (``_add_edges``).
+The graph is one row per vertex in a shared numpy pool (see
+:mod:`repro.core.kernel`): a row fills its room, then moves to the
+pool's end with twice the room, and the pool doubles when it is full.
+The walk runs in the kernel over those rows, the slot arrays and one
+colour byte per vertex, and returns to Python only when the head of
+``T`` must pop; what stays in Python is ``T`` itself, a ``heapq`` heap
+with the dict ``wT`` of its live weights.
+
+Complexity: ``O(|E_T| log |V_T|)`` heap work per update in Python (a
+push per vertex entering ``T`` and per weight update of a ``T`` member,
+a pop per emission), one kernel call per pop, plus work in C in proportion to the edges of the
+recovered, popped and relaxed vertices and to the slots the walk moves
+(the white-run scans and moves), plus ``O(span)`` for ``Detect`` to
+re-accumulate the suffix weights of the rewritten span and rescan its
+blocks, plus ``O(n / BLOCK)`` for ``Detect`` to shift the earlier
+blocks' offsets and pick the best block, plus one ``O(BLOCK)`` rescan
+per block whose offset grew since its last scan and whose bound still
+wins. Both update paths apply their edges in one Python loop
+(``_add_edges``), one kernel ``add_edge`` per edge, which scans the
+rows of its two endpoints for a parallel edge.
 
 A ``bulk_load`` of an empty engine runs on columns instead:
 ``_weigh_columns`` checks and weighs the whole load with numpy and one
 ``pd.factorize``, calling ``esusp`` once per edge; the kernel's
 ``ingest`` lays the load out as CSR in ``O(|V| + |E|)``; the static peel of
 :func:`~repro.core.peel.peel_sequence` runs its ``O(|E| log |V|)`` heap
-loop in C over that CSR; and one ``O(|V| + |E|)`` pass then builds the
-dict adjacency the Python reorder reads.
+loop in C over that CSR; and the CSR becomes the row pool as it is.
 """
 from __future__ import annotations
 
@@ -81,8 +93,19 @@ EdgeLike = Tuple
 #: Slots per ``Detect`` block; an engine keeps the value it was built with.
 BLOCK = 256
 
-#: Vertices per chunk when ``bulk_load`` turns its CSR into dicts.
-_ROW_CHUNK = 4096
+#: Per-vertex arrays, grown together by ``_reserve``, and the value a new
+#: vid's entry starts with: its absolute slot, its row in the pool, its
+#: suspiciousness ``a_i``, the reorder's colour byte, and the walk's
+#: scratch space (see :mod:`repro.core.kernel`).
+_VERTEX = (("_pos", np.int64, -1), ("_rstart", np.int64, 0), ("_rlen", np.int64, 0),
+           ("_rcap", np.int64, 0), ("_a", np.float64, 0.0), ("_color", np.uint8, 0),
+           ("_tw", np.float64, 0.0), ("_pw", np.float64, 0.0), ("_pv", np.int64, 0),
+           ("_black", np.int64, 0), ("_touched", np.int64, 0))
+
+#: The kernel state's array fields; each points at the engine attribute of
+#: the same name with a leading underscore.
+_POINTERS = [(name, field.type) for name, field in ffi.typeof("spade_t").fields
+             if field.type.kind == "pointer"]
 
 
 def _ingest(
@@ -97,7 +120,8 @@ def _ingest(
 
     ``w0`` and ``in_deg`` are updated in place; returns the CSR
     ``(ptr, nbr, c)`` and the new ``f_total`` (see ``ingest`` in
-    :mod:`repro.core.kernel`).
+    :mod:`repro.core.kernel`). ``nbr`` and ``c`` keep their ``2m`` entries;
+    the rows fill the first ``ptr[n]``.
     """
     n, m = len(w0), len(c)
     ptr = np.empty(n + 1, dtype=np.int64)
@@ -111,7 +135,7 @@ def _ingest(
         fb("int64_t[]", np.empty(n, dtype=np.int64)),
         fb("int64_t[]", ptr), fb("int64_t[]", nbr), fb("double[]", cw),
     )
-    return ptr, nbr[: ptr[n]], cw[: ptr[n]], f_total
+    return ptr, nbr, cw, f_total
 
 
 class SpadeEngine:
@@ -138,8 +162,13 @@ class SpadeEngine:
         # --- graph state ---------------------------------------------------
         self._vid_of: Dict[Hashable, int] = {}  # external id -> internal vid
         self._ext_of: List[Hashable] = []
-        self._adj: List[Dict[int, float]] = []  # combined in+out weighted adjacency
-        self._a: List[float] = []  # vertex suspiciousness a_i
+        # The combined in+out weighted adjacency: row v is _nbr/_c over
+        # [_rstart[v], _rstart[v] + _rlen[v]), with room for _rcap[v]
+        # entries; the kernel state holds how much of the pool is used.
+        self._nbr = np.empty(0, dtype=np.int64)
+        self._c = np.empty(0, dtype=np.float64)
+        for name, dtype, _ in _VERTEX:
+            setattr(self, name, np.empty(0, dtype=dtype))
         self._in_deg: List[int] = []  # incoming edge count (FD's object degree)
         self._w0: List[float] = []  # w_v(S_0): a_v + total incident weight
         self._f_total = 0.0
@@ -147,7 +176,6 @@ class SpadeEngine:
         # --- peeling sequence (front-gapped numpy backing arrays) ----------
         self._order = np.empty(0, dtype=np.int64)  # valid slots: [_lo, _hi)
         self._delta = np.empty(0, dtype=np.float64)  # aligned with _order
-        self._pos = np.empty(0, dtype=np.int64)  # vid -> absolute slot
         self._lo = 0
         self._hi = 0
         # --- detection state ----------------------------------------------
@@ -169,6 +197,33 @@ class SpadeEngine:
         # --- edge grouping -------------------------------------------------
         self._benign_buffer: List[EdgeLike] = []
         self._buffered_in: Counter = Counter()  # buffered edges per object vertex
+        # --- the kernel's view of the arrays above -------------------------
+        self._ctx = ffi.new("spade_t *")
+        self._point()
+
+    def _point(self) -> None:
+        """Point the kernel state at the engine's arrays.
+
+        Called whenever one of them is reallocated: the vertex arrays,
+        the pool, or the slot and block arrays.
+        """
+        s, fb = self._ctx, ffi.from_buffer
+        for name, ctype in _POINTERS:
+            setattr(s, name, fb(ctype, getattr(self, "_" + name)))
+        s.size = len(self._nbr)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_ctx"]
+        state["_used"] = self._ctx.used  # the rest of the struct lasts one call
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        used = state.pop("_used")
+        self.__dict__.update(state)
+        self._ctx = ffi.new("spade_t *")
+        self._point()
+        self._ctx.used = used
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -208,8 +263,17 @@ class SpadeEngine:
         return {self._ext_of[v] for v in self._community}
 
     def snapshot_graph(self) -> Tuple[int, List[Dict[int, float]], List[float]]:
-        """A (shared-structure) view of the graph for scratch comparisons."""
-        return self.n_vertices, self._adj, self._a
+        """The graph as ``(n, adj, a)`` for scratch comparisons.
+
+        ``adj[v]`` is a fresh dict of row ``v`` in row order, so it holds
+        the floats a dict adjacency would, in its key order.
+        """
+        n = self.n_vertices
+        used = self._ctx.used
+        nbr, c = self._nbr[:used].tolist(), self._c[:used].tolist()
+        adj = [dict(zip(nbr[p : p + k], c[p : p + k]))
+               for p, k in zip(self._rstart[:n].tolist(), self._rlen[:n].tolist())]
+        return n, adj, self._a[:n].tolist()
 
     # ------------------------------------------------------------------
     # vertex / edge bookkeeping
@@ -273,39 +337,56 @@ class SpadeEngine:
         vid = len(self._ext_of)
         self._vid_of[ext] = vid
         self._ext_of.append(ext)
-        self._adj.append({})
-        self._a.append(a)
         self._in_deg.append(0)
         self._w0.append(a)
         self._f_total += a
         self._reserve(vid + 1)
+        self._a[vid] = a
         return vid
 
     def _reserve(self, n: int) -> None:
-        """Grow ``_pos`` (doubling, from 64 slots) to hold vids below ``n``."""
+        """Grow the vertex arrays (doubling, from 64) to hold vids below ``n``."""
         size = len(self._pos)
         if n <= size:
             return
         while size < n:
             size = max(64, 2 * size)
-        grown = np.full(size, -1, dtype=np.int64)
-        grown[: len(self._pos)] = self._pos
-        self._pos = grown
+        for name, dtype, fill in _VERTEX:
+            old = getattr(self, name)
+            grown = np.full(size, fill, dtype=dtype)
+            grown[: len(old)] = old
+            setattr(self, name, grown)
+        self._point()
+
+    def _grow_pool(self, need: int) -> None:
+        """Double the pool (from 64 entries) until it holds ``need``."""
+        size, used = max(64, len(self._nbr)), self._ctx.used
+        while size < need:
+            size *= 2
+        for name in ("_nbr", "_c"):
+            old = getattr(self, name)
+            grown = np.empty(size, dtype=old.dtype)
+            grown[:used] = old[:used]
+            setattr(self, name, grown)
+        self._point()
 
     def _add_edges(self, edges: Sequence[EdgeLike], cs: Sequence[float]) -> Set[int]:
         """Accumulate validated edges into the combined adjacency.
 
-        Returns the vids of their endpoints. ``f_total`` is accumulated
-        edge by edge, in batch order.
+        Returns the vids of their endpoints. Each edge joins both rows
+        (the kernel's ``add_edge``; the pool grows when it lacks room);
+        ``f_total`` is accumulated edge by edge, in batch order.
         """
-        vid_of, adj, w0, in_deg = self._vid_of, self._adj, self._w0, self._in_deg
+        vid_of, w0, in_deg = self._vid_of, self._w0, self._in_deg
+        s, add_edge = self._ctx, lib.add_edge
         f_total = self._f_total
         ends: Set[int] = set()
         for e, c in zip(edges, cs):
             u, v = vid_of[e[0]], vid_of[e[1]]
-            adj_u, adj_v = adj[u], adj[v]
-            adj_u[v] = adj_u.get(v, 0.0) + c
-            adj_v[u] = adj_v.get(u, 0.0) + c
+            need = add_edge(s, u, v, c)
+            if need:
+                self._grow_pool(need)
+                add_edge(s, u, v, c)
             w0[u] += c
             w0[v] += c
             in_deg[v] += 1
@@ -332,10 +413,10 @@ class SpadeEngine:
         the load, the graph grows only through the insert APIs. The whole
         load is validated first: a rejected load leaves the engine as it
         was. The load runs on columns (:meth:`_weigh_columns`, then the
-        kernel's ``ingest`` lays it out as CSR and the static peel runs
-        over that CSR), and leaves the same adjacency, vertex weights,
-        degrees, vids and ``f_total``, to the bit, as ``insert_batch`` of
-        the same edges would.
+        kernel's ``ingest`` lays it out as CSR, the static peel runs over
+        that CSR and the CSR becomes the row pool), and leaves the same
+        rows, vertex weights, degrees, vids and ``f_total``, to the bit,
+        as ``insert_batch`` of the same edges would.
         """
         if self._ext_of:
             raise ValueError("bulk_load needs an empty engine; insert into a loaded one")
@@ -358,39 +439,22 @@ class SpadeEngine:
         for a in new_a:  # vertex mass first, in intern order, as _intern adds it
             f_total += a
         ptr, nbr, cw, f_total = _ingest(u, v, c, w0, in_deg, f_total)
-        del u, v, c  # free the load's columns before the peel and the dicts
-        # One int object per vid, shared by _vid_of and every row naming it,
-        # as the row path shares them (a fresh int per entry costs ~8 MB
-        # on a 135K-edge load).
-        vids = np.arange(n).astype(object)
-        self._vid_of = dict(zip(new, vids))
+        del u, v, c  # free the load's columns before the peel
+        self._vid_of = dict(zip(new, range(n)))
         self._ext_of = list(new)
-        self._a = new_a
         self._w0 = w0.tolist()
         self._in_deg = in_deg.tolist()
         self._f_total = f_total
         self._n_edges = m
         self._reserve(n)
-        self._rebuild_sequence(ptr, nbr, cw)
-        self._write_rows(ptr, nbr, cw, vids)
-
-    def _write_rows(self, ptr: np.ndarray, nbr: np.ndarray, cw: np.ndarray,
-                    vids: np.ndarray) -> None:
-        """Write the loaded CSR into the dict adjacency the reorder reads.
-
-        Each CSR row becomes one dict; neighbour keys are the shared int
-        objects of ``vids``. Rows go over in chunks, so only one chunk's
-        Python lists exist beside the dicts: lists of the whole load would
-        raise peak RSS.
-        """
-        adj = self._adj
-        for lo in range(0, len(ptr) - 1, _ROW_CHUNK):
-            hi = min(len(ptr) - 1, lo + _ROW_CHUNK)
-            p0, p1 = int(ptr[lo]), int(ptr[hi])
-            bounds = (ptr[lo : hi + 1] - p0).tolist()
-            keys, vals = vids[nbr[p0:p1]].tolist(), cw[p0:p1].tolist()
-            for p, q in zip(bounds, bounds[1:]):
-                adj.append(dict(zip(keys[p:q], vals[p:q])))
+        self._a[:n] = new_a
+        # The CSR is the pool: each row fills its room, and the 2m
+        # half-edge slots past ptr[n] are the pool's first free room.
+        self._rstart[:n] = ptr[:-1]
+        self._rlen[:n] = self._rcap[:n] = np.diff(ptr)
+        self._nbr, self._c = nbr, cw
+        self._ctx.used = int(ptr[n])
+        self._rebuild_sequence(ptr)
 
     def _weigh_columns(
         self, edges: Sequence[EdgeLike], priors: Dict[Hashable, Optional[float]]
@@ -438,14 +502,14 @@ class SpadeEngine:
             raise ValueError(f"metric {metric.name}: an edge suspiciousness is not finite and > 0")
         return u, v, c, new, new_a
 
-    def _rebuild_sequence(self, ptr: np.ndarray, nbr: np.ndarray, c: np.ndarray) -> None:
-        """Static peel of the current graph, given as CSR (``bulk_load``).
+    def _rebuild_sequence(self, ptr: np.ndarray) -> None:
+        """Static peel of the loaded graph, whose rows are CSR ``ptr`` (``bulk_load``).
 
         Allocates the slot arrays behind a front gap for head insertions
         and enters the whole sequence into Detect as one rewritten span.
         """
-        n = self.n_vertices
-        order, delta = peel_sequence(n, ptr, nbr, c, self._a)
+        n, m = self.n_vertices, int(ptr[-1])
+        order, delta = peel_sequence(n, ptr, self._nbr[:m], self._c[:m], self._a[:n])
         pad = max(64, n // 4)
         self._order = np.empty(pad + n, dtype=np.int64)
         self._order[pad:] = order
@@ -460,6 +524,7 @@ class SpadeEngine:
         self._lo = pad
         self._hi = self._det_lo = pad + n  # no F slot valid yet
         self._pos[self._order[pad:]] = np.arange(pad, pad + n, dtype=np.int64)
+        self._point()
         self._refresh_detection((self._lo, self._hi))
 
     # ------------------------------------------------------------------
@@ -490,13 +555,7 @@ class SpadeEngine:
             self._det_lo = lo
         if first >= end:
             return set()  # no slot rewritten (always so for an empty sequence)
-        fb = ffi.from_buffer
-        b = lib.detect(
-            fb("double[]", self._F), fb("double[]", self._delta),
-            fb("double[]", self._off), fb("double[]", self._pend),
-            fb("double[]", self._bmax), fb("int64_t[]", self._barg),
-            lo, hi, first, end, self._block,
-        )
+        b = lib.detect(self._ctx, lo, hi, first, end, self._block)
         best = int(self._barg[b])
         self._best_g = float(self._bmax[b])
         if hi - best == len(self._community) and end <= best:
@@ -540,6 +599,7 @@ class SpadeEngine:
         self._hi += shift
         self._det_lo += shift  # F and the block state moved with their slots
         self._pos[self._order[self._lo : self._hi]] += shift
+        self._point()
 
     def _insert_head(self, vid: int) -> None:
         """Place a brand-new vertex at the head of the sequence (§4.1).
@@ -566,145 +626,45 @@ class SpadeEngine:
         Returns the slot range ``(first, end)`` it rewrote, empty
         (``first >= end``) when every emission landed in place or the
         batch is empty.
+
+        The kernel's ``walk`` moves the frontier (white runs, recoveries,
+        in-place emissions, gray colouring, the write-back) and stops when
+        the head of T must pop, handing over the vertices that entered T
+        or changed weight since. Here they join the pending queue ``T``: a
+        ``heapq`` min-heap on ``(w, vid)`` with lazy deletion, whose live
+        entries are those that ``wT`` still holds. The paper pops on
+        ``Δ_min < Δ_k``; the walk pops on *equality* too, an equally valid
+        greedy tie-break (pending weights are still ``>= Δ_k >= Δ_min``)
+        that is load-bearing for performance: integer-weight metrics (DG)
+        produce long Δ-plateaus, and a queued vertex that cannot pop at its
+        own weight would ride the whole plateau, dragging every gray
+        neighbour into T (the paper's own IncDG is ~1000x slower than
+        IncFD for exactly this reason). ``relax`` then writes the popped
+        vertex, updates its neighbours in T and walks on from the new head
+        weight.
         """
         if not black:
             return (self._hi, self._hi)
-        order, delta, pos, adj, a = (
-            self._order,
-            self._delta,
-            self._pos,
-            self._adj,
-            self._a,
-        )
-        # The kernel's views of the slot arrays; nothing reallocates them
-        # during a reorder.
-        fb = ffi.from_buffer
-        c_order, c_delta, c_pos = (
-            fb("int64_t[]", order), fb("double[]", delta), fb("int64_t[]", pos)
-        )
-        white_run = lib.white_run
-        end = self._hi
-        black_pos = sorted(int(pos[v]) for v in black)
-        bi = 0
-        gray: Set[int] = set()
-        gray_heap: List[int] = []  # slots of gray vertices ahead of the frontier
+        s, pv, pw = self._ctx, self._pv, self._pw
+        push, pop, relax = heapq.heappush, heapq.heappop, lib.relax
+        self._black[: len(black)] = list(black)
+        s.end = self._hi
         wT: Dict[int, float] = {}
         heap: List[Tuple[float, int]] = []
-        # Emissions are written back as they happen, in order: ``out`` is
-        # the next output slot. A segment has emitted no more vertices
-        # than it has consumed (the difference is |T|), so ``out <= k``
-        # and every write lands on a slot the loop has already read;
-        # ``out == k`` exactly when T is empty, i.e. emissions are in place.
-        k = out = black_pos[0]
-        # The rewritten span [first, stop): it opens where the first vertex
-        # enters T (the next write lands there) and ends at the last write,
-        # which is always a pop: a segment closes only once T has drained.
-        first: Optional[int] = None
-        stop = end
-
-        while True:
-            if not wT:
-                # T empty: everything up to the next black keeps its old
-                # order in place (stored Δ are exact again — DESIGN.md).
-                while bi < len(black_pos) and black_pos[bi] < k:
-                    bi += 1
-                if bi >= len(black_pos):
-                    break
-                k = out = black_pos[bi]
-            # Lazily prune stale heap entries, then peek the T head.
+        queued = lib.walk(s, len(black))
+        while queued >= 0:
+            for v, w in zip(pv[:queued].tolist(), pw[:queued].tolist()):
+                wT[v] = w
+                push(heap, (w, v))
+            # The head is live: the prune after the last pop left a live
+            # head with no smaller entry under it, and a vertex whose weight
+            # fell since came back with a smaller entry.
+            _, vmin = pop(heap)
+            del wT[vmin]
             while heap and (heap[0][1] not in wT or heap[0][0] != wT[heap[0][1]]):
-                heapq.heappop(heap)
-            dmin = heap[0][0] if heap else np.inf
-            dk = float(delta[k]) if k < end else np.inf
-            if dmin <= dk:
-                # Case 1: pop the pending-queue head into O'. The paper
-                # pops on Δ_min < Δ_k; popping on *equality* too is an
-                # equally valid greedy tie-break (pending weights are
-                # still >= Δ_k >= Δ_min) and is load-bearing for
-                # performance: integer-weight metrics (DG) produce long
-                # Δ-plateaus, and a queued vertex that cannot pop at its
-                # own weight would ride the whole plateau, dragging every
-                # gray neighbor into T (the paper's own IncDG is ~1000x
-                # slower than IncFD for exactly this reason).
-                # Update T priorities by iterating the smaller of T and
-                # N(u_min).
-                _, vmin = heapq.heappop(heap)
-                del wT[vmin]
-                order[out] = vmin
-                delta[out] = dmin
-                pos[vmin] = out
-                out += 1
-                stop = out
-                nbrs = adj[vmin]
-                if len(wT) < len(nbrs):
-                    for u in list(wT):
-                        c = nbrs.get(u)
-                        if c is not None:
-                            wT[u] -= c
-                            heapq.heappush(heap, (wT[u], u))
-                else:
-                    for u, c in nbrs.items():
-                        if u in wT:
-                            wT[u] -= c
-                            heapq.heappush(heap, (wT[u], u))
-                continue
-            vk = int(order[k])
-            if vk in black or vk in gray:
-                # Case 2(a): affected vertex — recover its true current
-                # weight (edges to T members and to pending slots).
-                while bi < len(black_pos) and black_pos[bi] <= k:
-                    bi += 1
-                w = a[vk]
-                nbr_ahead: List[Tuple[int, int]] = []
-                for u, c in adj[vk].items():
-                    if u in wT:
-                        w += c
-                    else:
-                        pu = int(pos[u])
-                        if pu > k:
-                            w += c
-                            nbr_ahead.append((u, pu))
-                if w <= dk + 1e-9 * (1.0 + abs(dk)):
-                    # Weight unchanged (it can never decrease): the vertex
-                    # is a global minimum exactly like a white frontier
-                    # vertex, so emit it in place WITHOUT entering T or
-                    # coloring its neighborhood. This prunes the gray
-                    # cascade to the genuinely affected area: a dense
-                    # community's halo would otherwise be re-peeled on
-                    # every nearby insertion.
-                    if out != k:
-                        order[out] = vk
-                        delta[out] = dk
-                        pos[vk] = out
-                    out += 1
-                    k += 1
-                    continue
-                if first is None:
-                    first = k
-                wT[vk] = w
-                heapq.heappush(heap, (w, vk))
-                # Color only pending neighbors ahead of the frontier gray
-                # (paper line 6/15: O[j], j > i); vertices behind can
-                # never be frontier-tested.
-                for u, pu in nbr_ahead:
-                    if u not in gray:
-                        gray.add(u)
-                        heapq.heappush(gray_heap, pu)
-                k += 1
-                continue
-            # Case 2(b): white frontier vertex — its stored Δ is exact;
-            # emit it, and extend to the whole run of whites whose Δ
-            # stays strictly below Δ_min (at Δ = Δ_min the pop branch
-            # takes over). The kernel scans the run and moves it to
-            # ``out``; the run stops at the next black or gray slot.
-            while gray_heap and gray_heap[0] <= k:
-                heapq.heappop(gray_heap)
-            nb = black_pos[bi] if bi < len(black_pos) else end
-            ng = gray_heap[0] if gray_heap else end
-            event = white_run(c_order, c_delta, c_pos, k, out, min(nb, ng, end), dmin)
-            out += event - k
-            k = event
-        return (first, stop) if first is not None else (end, end)
+                pop(heap)
+            queued = relax(s, vmin, heap[0][0] if heap else math.inf)
+        return s.first, s.stop
 
     # ------------------------------------------------------------------
     # public update APIs (paper Listing 1)

@@ -10,8 +10,40 @@ published with an atomic rename, so concurrent importers either find a
 whole module or build their own; later imports load the cached one. A
 failed build raises ``ImportError`` carrying the compiler's output.
 
-The kernel has four entry points. ``detect`` is the engine's ``Detect``
-update (see
+An engine's state lives in its numpy arrays. One ``spade_t`` struct per
+engine points at them (see :meth:`~repro.core.engine.SpadeEngine._point`),
+holds the pool's fill and carries the reorder's walk from one call to the
+next. The graph is one row per vertex in a shared pool: row ``x`` is
+``nbr``/``c`` over ``[rstart[x], rstart[x] + rlen[x])``, with room for
+``rcap[x]`` entries; ``used`` of the pool's ``size`` entries are taken.
+The kernel has six entry points.
+
+``add_edge(s, u, v, c)`` adds an edge to both rows. A pair seen before
+adds ``c`` to its entry, so parallel weights sum in arrival order and a
+row keeps its neighbours in order of first appearance: the floats a dict
+adjacency gets from ``adj[u][v] = adj[u].get(v, 0.0) + c``. A new
+neighbour is appended; a full row first moves to the pool's end with
+twice its room. When the pool lacks that room, ``add_edge`` changes
+nothing and returns the pool size it needs; otherwise it returns 0.
+
+``walk`` and ``relax`` run the reorder's frontier walk (see
+:meth:`~repro.core.engine.SpadeEngine._reorder`); only the T heap stays
+with the caller. Each vertex has a colour byte: black, gray and in T.
+``walk(s, nblack)`` starts a walk from the ``nblack`` black vids in
+``black`` (it sorts their slots there), or resumes the walk as it stands
+when ``nblack`` is 0. The walk emits runs of white slots whose ``Δ`` is
+below ``dmin``, recovers the weight of black and gray vertices, emits
+those whose weight is unchanged in place, and puts the others in T,
+colouring their neighbours ahead gray. It returns the number of
+``(pv, pw)`` pairs the caller must push onto its T heap before the head
+of T pops, or -1 once the walk has ended: then ``[first, stop)`` is the
+rewritten span and every colour is cleared. ``relax(s, vmin, h)`` pops
+``vmin``: it writes it at ``out``, takes its edges off its neighbours in
+T and queues their new weights, sets ``dmin`` to the least of ``h`` (the
+caller's heap head once ``vmin`` is off it) and those weights, and
+resumes the walk.
+
+``detect`` is the engine's ``Detect`` update (see
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
 split into blocks of ``B`` counted backward from ``hi``, so block ``b``
 holds the slots ``j`` with ``(hi - 1 - j) / B == b`` and its shortest
@@ -20,14 +52,6 @@ suffix has ``b*B + 1`` vertices. ``F`` holds ``f(S_j)`` minus the offset
 ``g`` and earliest best slot as of its last scan, and ``pend``, the
 offset added since that scan. ``detect`` returns the id of the block
 holding the best slot.
-
-``white_run`` is the reorder's Case 2(b) (see
-:meth:`~repro.core.engine.SpadeEngine._reorder`): it emits the white
-frontier slot ``k`` and every later slot below ``limit`` whose ``Δ`` is
-below ``dmin``, stopping at the first ``Δ >= dmin``. When ``out < k`` it
-moves those slots down to start at ``out`` and rewrites ``pos`` for
-them. It returns the first slot it did not emit. The T queue, the gray
-heap and every other branch of the reorder stay in Python.
 
 ``peel`` is the static greedy peel (Algorithm 1, see
 :func:`~repro.core.peel.peel_sequence`) over a CSR adjacency: a binary
@@ -41,11 +65,9 @@ out as CSR (see :meth:`~repro.core.engine.SpadeEngine.bulk_load`). It
 adds each edge to ``w0`` of both endpoints, to ``in_deg`` of ``v`` and to
 ``f_total``, in arrival order, and writes the CSR to ``ptr``/``nbr``/``cw``
 (``nbr`` and ``cw`` hold ``2m`` entries, the bucketed half-edges before
-they are compacted): a row lists its neighbours in order of first
-appearance, and parallel edges add to their entry one by one in arrival
-order. These are the floats a dict adjacency gets from ``adj[u][v] =
-adj[u].get(v, 0.0) + c``. It returns the new ``f_total``; ``hptr`` and
-``where`` (``n`` long) are scratch.
+they are compacted): its rows hold the floats, in the order, that
+``add_edge`` of the same edges would give. It returns the new
+``f_total``; ``hptr`` and ``where`` (``n`` long) are scratch.
 """
 from __future__ import annotations
 
@@ -60,12 +82,27 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-CDEF = """
-int64_t detect(double *F, const double *delta, double *off, double *pend,
-               double *bmax, int64_t *barg, int64_t lo, int64_t hi,
-               int64_t first, int64_t end, int64_t B);
-int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
-                  int64_t out, int64_t limit, double dmin);
+#: The engine state the kernel sees, declared once for the cdef and the source.
+STRUCT = """
+typedef struct {
+    int64_t *order, *pos, *barg;
+    double *delta, *F, *off, *pend, *bmax;
+    int64_t *rstart, *rlen, *rcap, *nbr;
+    double *c, *a;
+    int64_t used, size;
+    uint8_t *color;
+    double *tw, *pw;
+    int64_t *black, *touched, *pv;
+    int64_t nblack, bi, ntouched, nT, npend, k, out, end, first, stop;
+    double dmin;
+} spade_t;
+"""
+
+CDEF = STRUCT + """
+int64_t add_edge(spade_t *s, int64_t u, int64_t v, double c);
+int64_t walk(spade_t *s, int64_t nblack);
+int64_t relax(spade_t *s, int64_t vmin, double h);
+int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, int64_t B);
 void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
           const double *a, int64_t *order, double *delta, double *w, double *hw,
           int64_t *hv, uint8_t *removed);
@@ -77,7 +114,8 @@ double ingest(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
-
+#include <stdlib.h>
+""" + STRUCT + r"""
 /* First slot of block b: its range is [bottom, hi - b*B). */
 static int64_t bottom(int64_t lo, int64_t hi, int64_t B, int64_t b)
 {
@@ -118,14 +156,244 @@ static void fold(double *F, double *off, int64_t lo, int64_t hi, int64_t B,
     off[b] = 0.0;
 }
 
-int64_t detect(double *F, const double *delta, double *off, double *pend,
-               double *bmax, int64_t *barg, int64_t lo, int64_t hi,
-               int64_t first, int64_t end, int64_t B)
+/* Index of y in row x, or -1. */
+static int64_t find(const spade_t *s, int64_t x, int64_t y)
 {
+    int64_t j, top = s->rstart[x] + s->rlen[x];
+
+    for (j = s->rstart[x]; j < top; j++)
+        if (s->nbr[j] == y)
+            return j;
+    return -1;
+}
+
+/* The room a full row of room r moves to. */
+static int64_t grown(int64_t r)
+{
+    return r ? 2 * r : 2;
+}
+
+/* Add c to entry j of row x; j < 0: append y, moving a full row first. */
+static void put(spade_t *s, int64_t x, int64_t y, double c, int64_t j)
+{
+    if (j >= 0) {
+        s->c[j] += c;
+        return;
+    }
+    if (s->rlen[x] == s->rcap[x]) {
+        int64_t from = s->rstart[x], i;
+
+        for (i = 0; i < s->rlen[x]; i++) {
+            s->nbr[s->used + i] = s->nbr[from + i];
+            s->c[s->used + i] = s->c[from + i];
+        }
+        s->rstart[x] = s->used;
+        s->rcap[x] = grown(s->rcap[x]);
+        s->used += s->rcap[x];
+    }
+    j = s->rstart[x] + s->rlen[x]++;
+    s->nbr[j] = y;
+    s->c[j] = c;
+}
+
+int64_t add_edge(spade_t *s, int64_t u, int64_t v, double c)
+{
+    /* Rows are symmetric: v is in row u exactly when u is in row v. */
+    int64_t ju = find(s, u, v), jv = ju < 0 ? -1 : find(s, v, u);
+
+    if (ju < 0) {
+        int64_t need = s->used;
+
+        if (s->rlen[u] == s->rcap[u])
+            need += grown(s->rcap[u]);
+        if (s->rlen[v] == s->rcap[v])
+            need += grown(s->rcap[v]);
+        if (need > s->size)
+            return need;
+    }
+    put(s, u, v, c, ju);
+    put(s, v, u, c, jv);
+    return 0;
+}
+
+enum { BLACK = 1, GRAY = 2, IN_T = 4 };
+
+/* Colour v; a vertex coloured for the first time joins touched. */
+static void paint(spade_t *s, int64_t v, uint8_t colour)
+{
+    if (!s->color[v])
+        s->touched[s->ntouched++] = v;
+    s->color[v] |= colour;
+}
+
+static int ascending(const void *x, const void *y)
+{
+    int64_t p = *(const int64_t *)x, q = *(const int64_t *)y;
+
+    return (p > q) - (p < q);
+}
+
+/* Walk from slot k until the head of T must pop (returns the number of
+   queued pushes) or the walk ends (returns -1). out is the next output
+   slot: a segment has emitted no more vertices than it has consumed (the
+   difference is |T|), so out <= k, every write lands on a slot already
+   read, and out == k exactly when T is empty. */
+static int64_t run(spade_t *s)
+{
+    int64_t *order = s->order, *pos = s->pos, *black = s->black, *nbr = s->nbr;
+    double *delta = s->delta;
+    uint8_t *color = s->color;
+    int64_t k = s->k, out = s->out, bi = s->bi, end = s->end, nblack = s->nblack;
+    int64_t j, result;
+    double dmin = s->dmin;
+
+    for (;;) {
+        int64_t v;
+        double dk;
+
+        if (!s->nT) {
+            /* T empty: everything up to the next black keeps its slot (the
+               stored deltas are exact again). */
+            while (bi < nblack && black[bi] < k)
+                bi++;
+            if (bi == nblack) {
+                result = -1;
+                break;
+            }
+            k = out = black[bi];
+        }
+        /* Case 1: the head of T pops, on equality too (see _reorder). */
+        dk = k < end ? delta[k] : INFINITY;
+        if (dmin <= dk) {
+            result = s->npend;
+            break;
+        }
+        v = order[k];
+        if (color[v] & (BLACK | GRAY)) {
+            /* Case 2(a): recover v's weight, its edges to T and to the slots
+               ahead, in row order. */
+            int64_t top = s->rstart[v] + s->rlen[v];
+            double w = s->a[v];
+
+            while (bi < nblack && black[bi] <= k)
+                bi++;
+            for (j = s->rstart[v]; j < top; j++)
+                if ((color[nbr[j]] & IN_T) || pos[nbr[j]] > k)
+                    w += s->c[j];
+            if (w <= dk + 1e-9 * (1.0 + fabs(dk))) {
+                /* Unchanged: a global minimum like a white vertex, emitted
+                   in place without entering T or colouring anything. */
+                if (out != k) {
+                    order[out] = v;
+                    delta[out] = dk;
+                    pos[v] = out;
+                }
+                out++;
+                k++;
+                continue;
+            }
+            if (s->first < 0)
+                s->first = k;
+            color[v] |= IN_T;
+            s->tw[v] = w;
+            s->nT++;
+            s->pv[s->npend] = v;
+            s->pw[s->npend++] = w;
+            if (w < dmin)
+                dmin = w;
+            /* Only neighbours ahead of the frontier are still tested. */
+            for (j = s->rstart[v]; j < top; j++)
+                if (!(color[nbr[j]] & (IN_T | GRAY)) && pos[nbr[j]] > k)
+                    paint(s, nbr[j], GRAY);
+            k++;
+            continue;
+        }
+        /* Case 2(b): a white vertex's stored delta is exact. Emit it and the
+           run of white slots after it whose delta stays below dmin (at
+           equality the pop takes over), moving the run down to out. */
+        for (j = k + 1; j < end && delta[j] < dmin && !(color[order[j]] & (BLACK | GRAY)); j++)
+            ;
+        if (out == k)
+            out = j;
+        else
+            for (; k < j; k++, out++) {
+                order[out] = order[k];
+                delta[out] = delta[k];
+                pos[order[out]] = out;
+            }
+        k = j;
+    }
+    if (result < 0) {
+        for (j = 0; j < s->ntouched; j++)
+            color[s->touched[j]] = 0;
+        s->ntouched = 0;
+        if (s->first < 0)
+            s->first = s->stop = end;
+    }
+    s->k = k;
+    s->out = out;
+    s->bi = bi;
+    s->dmin = dmin;
+    return result;
+}
+
+int64_t walk(spade_t *s, int64_t nblack)
+{
+    s->npend = 0;
+    if (nblack > 0) {
+        int64_t i;
+
+        for (i = 0; i < nblack; i++) {
+            paint(s, s->black[i], BLACK);
+            s->black[i] = s->pos[s->black[i]];
+        }
+        qsort(s->black, (size_t)nblack, sizeof *s->black, ascending);
+        s->nblack = nblack;
+        s->bi = s->nT = 0;
+        s->k = s->out = s->black[0];
+        s->first = -1;
+        s->stop = s->end;
+        s->dmin = INFINITY;
+    }
+    return run(s);
+}
+
+int64_t relax(spade_t *s, int64_t vmin, double h)
+{
+    int64_t j, top = s->rstart[vmin] + s->rlen[vmin];
+
+    s->npend = 0;
+    s->dmin = h;
+    s->order[s->out] = vmin;
+    s->delta[s->out] = s->tw[vmin];
+    s->pos[vmin] = s->out;
+    s->stop = ++s->out;
+    s->color[vmin] &= (uint8_t)~IN_T;
+    s->nT--;
+    for (j = s->rstart[vmin]; j < top; j++) {
+        int64_t u = s->nbr[j];
+
+        if (s->color[u] & IN_T) {
+            double w = s->tw[u] -= s->c[j];
+
+            s->pv[s->npend] = u;
+            s->pw[s->npend++] = w;
+            if (w < s->dmin)
+                s->dmin = w;
+        }
+    }
+    return run(s);
+}
+
+int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, int64_t B)
+{
+    double *F = s->F, *off = s->off, *pend = s->pend, *bmax = s->bmax;
+    const double *delta = s->delta;
+    int64_t *barg = s->barg;
     int64_t nb = (hi - lo + B - 1) / B;
     int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, j;
     double anchor = end < hi ? F[end] + off[(hi - 1 - end) / B] : 0.0;
-    double old = first > lo ? F[first] + off[bf] : 0.0, s = 0.0;
+    double old = first > lo ? F[first] + off[bf] : 0.0, sum = 0.0;
 
     /* 1. The span's blocks drop their offsets: the boundary blocks fold
           theirs into the slots the span does not rewrite. */
@@ -137,8 +405,8 @@ int64_t detect(double *F, const double *delta, double *off, double *pend,
 
     /* 2. Re-accumulate f(S_j) over the span, anchored at the true F[end]. */
     for (j = end - 1; j >= first; j--) {
-        s += delta[j];
-        F[j] = s + anchor;
+        sum += delta[j];
+        F[j] = sum + anchor;
     }
 
     /* 3. Slots ahead of the span shift by the change d of F[first]: the
@@ -175,25 +443,6 @@ int64_t detect(double *F, const double *delta, double *off, double *pend,
             return top;
         scan(F, off, pend, bmax, barg, lo, hi, B, top);
     }
-}
-
-int64_t white_run(int64_t *order, double *delta, int64_t *pos, int64_t k,
-                  int64_t out, int64_t limit, double dmin)
-{
-    int64_t event = k + 1, j;
-
-    /* Slot k is emitted; the run extends while the next slot below limit
-       has a Δ below dmin. */
-    while (event < limit && delta[event] < dmin)
-        event++;
-    /* out < k: a forward copy reads each slot before any write lands on it. */
-    if (out != k)
-        for (j = k; j < event; j++, out++) {
-            order[out] = order[j];
-            delta[out] = delta[j];
-            pos[order[out]] = out;
-        }
-    return event;
 }
 
 /* Heap entry i orders before entry j: (w, vid) compared as a tuple. */
@@ -343,6 +592,7 @@ double ingest(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
     return f_total;
 }
 """
+
 
 FLAGS = ["-O2", "-ffp-contract=off"]
 

@@ -1,14 +1,14 @@
 """Shared test utilities for the Spade reproduction suite."""
 from __future__ import annotations
 
-import copy
 import heapq
 import random
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core import SpadeEngine, validate_peeling
-from repro.core.peel import best_community
 
 
 def random_edges(
@@ -74,8 +74,6 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     between the engine's accumulated ``f_total`` and a recomputed one
     may flip which tied index ``argmax`` returns.
     """
-    import numpy as np
-
     n, adj, a = eng.snapshot_graph()
     order_ext = eng.order_external()
     order = [eng._vid_of[x] for x in order_ext]
@@ -101,11 +99,16 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
 
 
 def engine_state(eng: SpadeEngine) -> tuple:
-    """Everything an update may change, copied for an unchanged-state check."""
+    """Everything an update may change, copied for an unchanged-state check.
+
+    The graph is its rows, the pool and the pool's fill; the vertex
+    arrays include ``a``, the colour bytes and the walk's scratch space.
+    """
     arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._pend, eng._bmax,
-              eng._barg)
+              eng._barg, eng._rstart, eng._rlen, eng._rcap, eng._nbr, eng._c, eng._a,
+              eng._color)
     return (
-        copy.deepcopy(eng._adj), list(eng._in_deg), list(eng._w0), list(eng._a),
+        eng._ctx.used, list(eng._in_deg), list(eng._w0),
         dict(eng._vid_of), eng.f_total, eng.n_edges, eng._lo, eng._hi, eng._det_lo,
         eng.best_density, set(eng._community), list(eng._benign_buffer),
         tuple(x.tobytes() for x in arrays),
@@ -133,3 +136,120 @@ def brute_force_best_density(
             )
             best = max(best, f / k)
     return best
+
+
+def white_run_reference(order, delta, pos, k, out, limit, dmin):
+    """The reorder's Case 2(b) in numpy: emit slot ``k`` and the slots below
+    ``limit`` after it whose Δ is below ``dmin``, moving them down to ``out``.
+
+    Returns the first slot not emitted.
+    """
+    if limit <= k + 1:
+        event = k + 1
+    else:
+        exceed = np.flatnonzero(delta[k + 1 : limit] >= dmin)
+        event = (k + 1 + int(exceed[0])) if len(exceed) else limit
+    if out != k:
+        m = event - k
+        order[out : out + m] = order[k:event]
+        delta[out : out + m] = delta[k:event]
+        pos[order[out : out + m]] = np.arange(out, out + m, dtype=np.int64)
+    return event
+
+
+class DictReorderEngine(SpadeEngine):
+    """The engine with the Python reorder the kernel's walk replaced.
+
+    The oracle for ``walk``/``relax``: the same loop over a dict adjacency
+    read from :meth:`~SpadeEngine.snapshot_graph`, with the gray set, a
+    ``heapq`` of gray slots ahead of the frontier and the white runs of
+    :func:`white_run_reference`. Every other part of the engine is shared.
+    """
+
+    def _reorder(self, black: Set[int]) -> Tuple[int, int]:
+        if not black:
+            return (self._hi, self._hi)
+        _, adj, a = self.snapshot_graph()
+        order, delta, pos = self._order, self._delta, self._pos
+        end = self._hi
+        black_pos = sorted(int(pos[v]) for v in black)
+        bi = 0
+        gray: Set[int] = set()
+        gray_heap: List[int] = []
+        wT: Dict[int, float] = {}
+        heap: List[Tuple[float, int]] = []
+        k = out = black_pos[0]
+        first: Optional[int] = None
+        stop = end
+        while True:
+            if not wT:
+                while bi < len(black_pos) and black_pos[bi] < k:
+                    bi += 1
+                if bi >= len(black_pos):
+                    break
+                k = out = black_pos[bi]
+            while heap and (heap[0][1] not in wT or heap[0][0] != wT[heap[0][1]]):
+                heapq.heappop(heap)
+            dmin = heap[0][0] if heap else np.inf
+            dk = float(delta[k]) if k < end else np.inf
+            if dmin <= dk:
+                _, vmin = heapq.heappop(heap)
+                del wT[vmin]
+                order[out] = vmin
+                delta[out] = dmin
+                pos[vmin] = out
+                out += 1
+                stop = out
+                nbrs = adj[vmin]
+                if len(wT) < len(nbrs):
+                    for u in list(wT):
+                        c = nbrs.get(u)
+                        if c is not None:
+                            wT[u] -= c
+                            heapq.heappush(heap, (wT[u], u))
+                else:
+                    for u, c in nbrs.items():
+                        if u in wT:
+                            wT[u] -= c
+                            heapq.heappush(heap, (wT[u], u))
+                continue
+            vk = int(order[k])
+            if vk in black or vk in gray:
+                while bi < len(black_pos) and black_pos[bi] <= k:
+                    bi += 1
+                w = a[vk]
+                nbr_ahead: List[Tuple[int, int]] = []
+                for u, c in adj[vk].items():
+                    if u in wT:
+                        w += c
+                    else:
+                        pu = int(pos[u])
+                        if pu > k:
+                            w += c
+                            nbr_ahead.append((u, pu))
+                if w <= dk + 1e-9 * (1.0 + abs(dk)):
+                    if out != k:
+                        order[out] = vk
+                        delta[out] = dk
+                        pos[vk] = out
+                    out += 1
+                    k += 1
+                    continue
+                if first is None:
+                    first = k
+                wT[vk] = w
+                heapq.heappush(heap, (w, vk))
+                for u, pu in nbr_ahead:
+                    if u not in gray:
+                        gray.add(u)
+                        heapq.heappush(gray_heap, pu)
+                k += 1
+                continue
+            while gray_heap and gray_heap[0] <= k:
+                heapq.heappop(gray_heap)
+            nb = black_pos[bi] if bi < len(black_pos) else end
+            ng = gray_heap[0] if gray_heap else end
+            event = white_run_reference(order, delta, pos, k, out, min(nb, ng, end), dmin)
+            out += event - k
+            k = event
+        return (first, stop) if first is not None else (end, end)

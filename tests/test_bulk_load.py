@@ -63,12 +63,18 @@ def engine_pair(metric):
 
 
 def graph(eng):
-    """The graph state both paths write, with dict key order and id types."""
+    """The graph state both paths write: each row's neighbours in row order
+    and the bits of their weights, and the id types. The rows' places in
+    the pool differ: the columnar path packs them, the row path grows them.
+    """
+    n = eng.n_vertices
+    rows = [(eng._nbr[p : p + k].tolist(), eng._c[p : p + k].tobytes())
+            for p, k in zip(eng._rstart[:n], eng._rlen[:n])]
     return (
-        [list(row.items()) for row in eng._adj],
+        rows,
         np.array(eng._w0, dtype=np.float64).tobytes(),
         list(eng._in_deg),
-        np.array(eng._a, dtype=np.float64).tobytes(),
+        eng._a[:n].tobytes(),
         [(type(x), x, vid) for x, vid in eng._vid_of.items()],
         [(type(x), x) for x in eng._ext_of],
         eng.f_total.hex(),

@@ -71,6 +71,7 @@ class TestTable4:
             [row] = rec["rows"]
             assert row["dataset"] == "grab1_lite"
             assert row["IncDW-1_us"] > 0 and row["FD_static_s"] > 0
+            assert row["IncDW-1_us_iqr"] >= 0  # the spread of the REPEATS runs
 
 
 class TestTable5:

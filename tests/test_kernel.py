@@ -1,11 +1,12 @@
-"""The compiled kernel: its build cache, ``white_run`` against numpy,
-``ingest`` against a dict oracle, and the input checks that guard
-``peel``."""
+"""The compiled kernel: its build cache and warnings, the walk's white run
+against numpy, ``add_edge``'s rows and ``ingest`` against a dict oracle,
+and the input checks that guard ``peel``."""
 import copy
 import math
 import os
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
-from repro.core import kernel
+from repro.core import DW, SpadeEngine, kernel
 from repro.core import peel as peel_mod
+from tests.helpers import assert_engine_valid, white_run_reference
 
 SRC = Path(kernel.__file__).resolve().parents[2]
 
@@ -51,69 +53,187 @@ def test_failed_build_raises_with_compiler_output():
     assert leftovers == [], "a failed build left its temporary directory behind"
 
 
-def white_run_reference(order, delta, pos, k, out, limit, dmin):
-    """The numpy scan-and-shift that ``white_run`` replaced in ``_reorder``."""
-    if limit <= k + 1:
-        event = k + 1
-    else:
-        exceed = np.flatnonzero(delta[k + 1 : limit] >= dmin)
-        event = (k + 1 + int(exceed[0])) if len(exceed) else limit
-    if out != k:
-        m = event - k
-        order[out : out + m] = order[k:event]
-        delta[out : out + m] = delta[k:event]
-        pos[order[out : out + m]] = np.arange(out, out + m, dtype=np.int64)
-    return event
+def test_source_compiles_with_warnings_as_errors(tmp_path):
+    """The kernel's C source, on its own, compiles clean under -Wall -Wextra."""
+    source = tmp_path / "kernel.c"
+    source.write_text(kernel.SOURCE)
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    done = subprocess.run([*cc, "-c", *kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           str(source), "-o", str(tmp_path / "kernel.o")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 @st.composite
 def white_runs(draw):
-    """A sequence and a frontier ``k`` with ``out <= k``; Δ values repeat often."""
+    """A sequence, a white frontier ``k`` with ``out <= k`` and what stops
+    the run at ``limit > k``: the sequence's end, or a gray or black slot
+    there. Δ values repeat often."""
     n = draw(st.integers(1, 24))
     order = draw(st.permutations(range(n)))
     delta = draw(st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n))
     k = draw(st.integers(0, n - 1))
     out = draw(st.integers(0, k))
-    limit = draw(st.integers(0, n))
+    limit = draw(st.integers(k + 1, n))
+    stop = "end" if limit == n else draw(st.sampled_from(["end", "gray", "black"]))
     dmin = draw(st.one_of(st.just(math.inf), st.sampled_from(delta),
                           st.floats(-1.0, 5.0, allow_nan=False)))
-    return order, delta, k, out, limit, dmin
+    return order, delta, k, out, limit, stop, dmin
+
+
+def walk_state(order, delta, pos, color, a):
+    """A kernel state over these arrays, with no edges; returns it and the
+    arrays it points at, which the caller keeps alive."""
+    n = len(pos)
+    arrays = {"order": order, "delta": delta, "pos": pos, "color": color, "a": a,
+              "rstart": np.zeros(n, dtype=np.int64), "rlen": np.zeros(n, dtype=np.int64),
+              "tw": np.zeros(n), "pw": np.zeros(n), "pv": np.zeros(n, dtype=np.int64),
+              "touched": np.zeros(n, dtype=np.int64)}
+    s = kernel.ffi.new("spade_t *")
+    fields = dict(kernel.ffi.typeof("spade_t").fields)
+    for name, arr in arrays.items():
+        setattr(s, name, kernel.ffi.from_buffer(fields[name].type, arr))
+    return s, arrays
 
 
 @settings(max_examples=300, deadline=None)
 @given(white_runs())
-# dmin = inf: the run reaches limit = end
-@example(([2, 0, 3, 1], [0.0, 1.0, 2.0, 3.0], 0, 0, 4, math.inf))
+# dmin = inf: the run reaches the end
+@example(([2, 0, 3, 1], [0.0, 1.0, 2.0, 3.0], 0, 0, 4, "end", math.inf))
 # dmin equals a stored Δ: equality stops the run
-@example(([0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 2.0, 1.0], 1, 0, 5, 2.0))
-# limit <= k + 1: only slot k is emitted, in place or moved
-@example(([0, 1, 2], [0.0, 1.0, 2.0], 2, 0, 2, math.inf))
-@example(([0, 1, 2], [0.0, 1.0, 2.0], 1, 1, 1, math.inf))
-# out < k with the moved range overlapping its source
-@example(([6, 5, 4, 3, 2, 1, 0], [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0], 2, 1, 7, 4.0))
-def test_white_run_matches_numpy_reference(case):
-    order, delta, k, out, limit, dmin = case
+@example(([0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 2.0, 1.0], 1, 0, 5, "end", 2.0))
+# only slot k is emitted, in place or moved
+@example(([0, 1, 2], [0.0, 1.0, 2.0], 1, 0, 2, "end", math.inf))
+@example(([0, 1, 2], [0.0, 1.0, 2.0], 1, 1, 2, "gray", math.inf))
+# out < k with the moved range overlapping its source, stopped by a black slot
+@example(([6, 5, 4, 3, 2, 1, 0], [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0], 2, 1, 5, "black", 4.0))
+def test_walk_white_run_matches_numpy_reference(case):
+    """The walk resumed at a white frontier ``k`` with T non-empty moves the
+    white run that :func:`white_run_reference` moves. A gray or black slot
+    at ``limit`` stops the run; its vertex, whose weight is out of reach,
+    then enters T, and the sequence's end follows it, so the walk stops
+    there for the pop."""
+    order, delta, k, out, limit, stop, dmin = case
     n = len(order)
     order = np.array(order, dtype=np.int64)
     delta = np.array(delta, dtype=np.float64)
     pos = np.full(n + 3, -7, dtype=np.int64)  # vids past n are not in the sequence
     pos[order] = np.arange(n)
+    color = np.zeros(n + 3, dtype=np.uint8)
+    a = np.full(n + 3, 1e300)
+    end = limit if stop == "end" else limit + 1
+    if stop != "end":
+        color[order[limit]] = {"gray": 2, "black": 1}[stop]
     before = [order.copy(), delta.copy(), pos.copy()]
     want = [x.copy() for x in before]
-    want_event = white_run_reference(*want, k, out, limit, dmin)
-    fb = kernel.ffi.from_buffer
-    event = kernel.lib.white_run(fb("int64_t[]", order), fb("double[]", delta),
-                                 fb("int64_t[]", pos), k, out, limit, dmin)
-    assert event == want_event
+    s, _keep = walk_state(order, delta, pos, color, a)
+    s.k, s.out, s.end, s.dmin, s.nT, s.first = k, out, end, dmin, 1, -1
+    queued = kernel.lib.walk(s, 0)
+
+    if dmin <= delta[k]:  # the head of T pops before any white slot
+        want_event = k
+    else:
+        want_event = white_run_reference(*want, k, out, limit, dmin)
     for got, exp in zip((order, delta, pos), want):
         np.testing.assert_array_equal(got, exp)
+    entered = stop != "end" and want_event == limit and delta[limit] < dmin
+    assert queued == int(entered)
+    assert (s.k, s.out) == (want_event + entered, out + want_event - k)
+    if entered:
+        assert (s.pv[0], s.first, color[order[limit]] & 4) == (order[limit], limit, 4)
     moved = np.zeros(n, dtype=bool)
-    moved[out : out + event - k] = out != k
+    moved[out : out + want_event - k] = out != k
     for got, old in zip((order, delta), before):
         np.testing.assert_array_equal(got[~moved], old[~moved])
     kept = np.ones(n + 3, dtype=bool)
     kept[order[moved]] = False
     np.testing.assert_array_equal(pos[kept], before[2][kept])
+
+
+def dict_rows(eng, edges, adj):
+    """Apply ``edges`` to the dict oracle ``adj`` under DW (``c`` is the amount)."""
+    for src, dst, c in edges:
+        u, v = eng._vid_of[src], eng._vid_of[dst]
+        for x, y in ((u, v), (v, u)):
+            while len(adj) <= x:
+                adj.append({})
+            adj[x][y] = adj[x].get(y, 0.0) + c
+
+
+def assert_rows_match(eng, adj):
+    """Every row holds the oracle's neighbours in its key order and the bits
+    of its weights, within the row's room and the pool's fill."""
+    n = eng.n_vertices
+    assert len(adj) == n
+    assert np.all(eng._rlen[:n] <= eng._rcap[:n])
+    assert np.all(eng._rstart[:n] + eng._rcap[:n] <= eng._ctx.used)
+    assert eng._ctx.used <= len(eng._nbr)
+    for v in range(n):
+        p, k = eng._rstart[v], eng._rlen[v]
+        assert eng._nbr[p : p + k].tolist() == list(adj[v])
+        assert eng._c[p : p + k].tobytes() == np.array(list(adj[v].values())).tobytes()
+
+
+HUB_AMOUNTS = st.one_of(st.just(0.1), st.sampled_from([0.3, 1.0, 7.25]),
+                        st.floats(1e-3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), HUB_AMOUNTS),
+                         min_size=1, max_size=40), min_size=1, max_size=6))
+def test_rows_match_dict_oracle(batches):
+    """Batches around two hubs (ids 0 and 1 take a third of the endpoints),
+    after a packed bulk load: rows move as they fill and parallel edges pile
+    up, and every row must equal ``adj[u][v] = adj[u].get(v, 0.0) + c``."""
+    eng = SpadeEngine(DW)
+    initial = [("h0", "x2", 1.0), ("x2", "x3", 0.5), ("h1", "x3", 0.1), ("h0", "h1", 2.0)]
+    eng.bulk_load(initial)
+    adj = []
+    dict_rows(eng, initial, adj)
+    name = lambda i: f"h{i}" if i < 2 else f"x{i}"  # noqa: E731
+    for raw in batches:
+        batch = [(name(u % 2 if u > 20 else u), name(v), c) for u, v, c in raw]
+        batch = [e for e in batch if e[0] != e[1]]
+        eng.insert_batch(batch)
+        dict_rows(eng, batch, adj)
+        assert_rows_match(eng, adj)
+    assert_engine_valid(eng)
+
+
+def test_pool_grows_in_the_middle_of_a_batch(monkeypatch):
+    """A hub's row moves at every doubling and the pool grows several times
+    within one batch; more than 8 parallel 0.1 edges sum one by one."""
+    grown = []
+    grow = SpadeEngine._grow_pool
+
+    def counted(eng, need):
+        grown.append((eng._ctx.used, len(eng._nbr)))
+        grow(eng, need)
+
+    monkeypatch.setattr(SpadeEngine, "_grow_pool", counted)
+    eng = SpadeEngine(DW)
+    initial = [("hub", "x0", 1.0), ("x0", "x1", 0.5)]
+    eng.bulk_load(initial)
+    adj = []
+    dict_rows(eng, initial, adj)
+    hub = eng._vid_of["hub"]
+    starts = set()
+    batch = [("hub", f"x{i}", 0.1 * i + 0.1) for i in range(2, 150)] + [("x0", "hub", 0.1)] * 13
+    for i in range(0, len(batch), 7):
+        eng.insert_batch(batch[i : i + 7])
+        dict_rows(eng, batch[i : i + 7], adj)
+        starts.add(int(eng._rstart[hub]))
+    assert len(starts) >= 6, "the hub's row did not move as it filled"
+    assert_rows_match(eng, adj)
+
+    big = [(f"y{i}", "hub", 0.1) for i in range(1200)] + [("hub", "y0", 0.1)] * 9
+    grown.clear()
+    eng.insert_batch(big)
+    dict_rows(eng, big, adj)
+    assert len(grown) >= 2, "the pool did not grow within the batch"
+    assert_rows_match(eng, adj)
+    assert adj[hub][eng._vid_of["x0"]] == eng._c[eng._rstart[hub]]  # 1.0 + 13 x 0.1, in order
+    assert_engine_valid(eng)
 
 
 class _NoKernel:
@@ -195,8 +315,9 @@ def test_ingest_matches_dict_oracle(case):
 
     want_ptr, want_nbr, want_c = peel_mod.csr(want_adj)
     np.testing.assert_array_equal(ptr, want_ptr)
-    np.testing.assert_array_equal(nbr, want_nbr)  # first-appearance order per row
-    assert c.tobytes() == want_c.tobytes()
+    assert len(nbr) == len(c) == 2 * len(edges)  # the rows fill the first ptr[n]
+    np.testing.assert_array_equal(nbr[: ptr[n]], want_nbr)  # first-appearance order per row
+    assert c[: ptr[n]].tobytes() == want_c.tobytes()
     assert got_w0.tobytes() == np.array(want_w0, dtype=np.float64).tobytes()
     assert got_deg.tolist() == want_deg
     assert got_f == want_f
