@@ -62,16 +62,18 @@ re-accumulate the suffix weights of the rewritten span and rescan its
 blocks, plus ``O(n / BLOCK)`` for ``Detect`` to shift the earlier
 blocks' offsets and pick the best block, plus one ``O(BLOCK)`` rescan
 per block whose offset grew since its last scan and whose bound still
-wins. Both update paths apply their edges in one Python loop
-(``_add_edges``), one kernel ``add_edge`` per edge, which scans the
-rows of its two endpoints for a parallel edge.
+wins. Every edge, loaded or inserted, is applied by one kernel call per
+batch (``add_edges``), in ``O(min(deg u, deg v))`` per edge: it scans the
+shorter endpoint row for a parallel edge and reaches the twin entry in
+the other row through the pool's ``mate`` index.
 
-A ``bulk_load`` of an empty engine runs on columns instead:
+A ``bulk_load`` of an empty engine weighs its load on columns instead:
 ``_weigh_columns`` checks and weighs the whole load with numpy and one
-``pd.factorize``, calling ``esusp`` once per edge; the kernel's
-``ingest`` lays the load out as CSR in ``O(|V| + |E|)``; the static peel of
-:func:`~repro.core.peel.peel_sequence` runs its ``O(|E| log |V|)`` heap
-loop in C over that CSR; and the CSR becomes the row pool as it is.
+``pd.factorize``, calling ``esusp`` once per edge. Each row then gets
+room for its distinct neighbours, in vid order (one ``np.unique`` of the
+pair keys), so the same ``add_edges`` leaves the pool as CSR; the static
+peel of :func:`~repro.core.peel.peel_sequence` runs its
+``O(|E| log |V|)`` heap loop in C over it.
 """
 from __future__ import annotations
 
@@ -95,10 +97,12 @@ BLOCK = 256
 
 #: Per-vertex arrays, grown together by ``_reserve``, and the value a new
 #: vid's entry starts with: its absolute slot, its row in the pool, its
-#: suspiciousness ``a_i``, the reorder's colour byte, and the walk's
-#: scratch space (see :mod:`repro.core.kernel`).
+#: suspiciousness ``a_i``, ``w_v(S_0)`` (``a_v`` plus its incident weight),
+#: its in-degree (FD's object degree), the reorder's colour byte, and the
+#: walk's scratch space (see :mod:`repro.core.kernel`).
 _VERTEX = (("_pos", np.int64, -1), ("_rstart", np.int64, 0), ("_rlen", np.int64, 0),
-           ("_rcap", np.int64, 0), ("_a", np.float64, 0.0), ("_color", np.uint8, 0),
+           ("_rcap", np.int64, 0), ("_a", np.float64, 0.0), ("_w0", np.float64, 0.0),
+           ("_in_deg", np.int64, 0), ("_color", np.uint8, 0),
            ("_tw", np.float64, 0.0), ("_pw", np.float64, 0.0), ("_pv", np.int64, 0),
            ("_black", np.int64, 0), ("_touched", np.int64, 0))
 
@@ -106,36 +110,6 @@ _VERTEX = (("_pos", np.int64, -1), ("_rstart", np.int64, 0), ("_rlen", np.int64,
 #: the same name with a leading underscore.
 _POINTERS = [(name, field.type) for name, field in ffi.typeof("spade_t").fields
              if field.type.kind == "pointer"]
-
-
-def _ingest(
-    u: np.ndarray,
-    v: np.ndarray,
-    c: np.ndarray,
-    w0: np.ndarray,
-    in_deg: np.ndarray,
-    f_total: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Lay the edges ``(u, v, c)`` among ``len(w0)`` vertices out as CSR.
-
-    ``w0`` and ``in_deg`` are updated in place; returns the CSR
-    ``(ptr, nbr, c)`` and the new ``f_total`` (see ``ingest`` in
-    :mod:`repro.core.kernel`). ``nbr`` and ``c`` keep their ``2m`` entries;
-    the rows fill the first ``ptr[n]``.
-    """
-    n, m = len(w0), len(c)
-    ptr = np.empty(n + 1, dtype=np.int64)
-    nbr = np.empty(2 * m, dtype=np.int64)
-    cw = np.empty(2 * m, dtype=np.float64)
-    fb = ffi.from_buffer
-    f_total = lib.ingest(
-        n, m, fb("int64_t[]", u), fb("int64_t[]", v), fb("double[]", c),
-        fb("double[]", w0), fb("int64_t[]", in_deg), f_total,
-        fb("int64_t[]", np.empty(n, dtype=np.int64)),
-        fb("int64_t[]", np.empty(n, dtype=np.int64)),
-        fb("int64_t[]", ptr), fb("int64_t[]", nbr), fb("double[]", cw),
-    )
-    return ptr, nbr, cw, f_total
 
 
 class SpadeEngine:
@@ -164,14 +138,14 @@ class SpadeEngine:
         self._ext_of: List[Hashable] = []
         # The combined in+out weighted adjacency: row v is _nbr/_c over
         # [_rstart[v], _rstart[v] + _rlen[v]), with room for _rcap[v]
-        # entries; the kernel state holds how much of the pool is used.
+        # entries, and _mate[j] is the index of entry j's twin; the kernel
+        # state holds how much of the pool is used.
         self._nbr = np.empty(0, dtype=np.int64)
         self._c = np.empty(0, dtype=np.float64)
+        self._mate = np.empty(0, dtype=np.int64)
         for name, dtype, _ in _VERTEX:
             setattr(self, name, np.empty(0, dtype=dtype))
-        self._in_deg: List[int] = []  # incoming edge count (FD's object degree)
-        self._w0: List[float] = []  # w_v(S_0): a_v + total incident weight
-        self._f_total = 0.0
+        self._f_total = np.zeros(1)  # f(S_0), which the kernel adds to
         self._n_edges = 0
         # --- peeling sequence (front-gapped numpy backing arrays) ----------
         self._order = np.empty(0, dtype=np.int64)  # valid slots: [_lo, _hi)
@@ -238,7 +212,7 @@ class SpadeEngine:
 
     @property
     def f_total(self) -> float:
-        return self._f_total
+        return float(self._f_total[0])
 
     @property
     def best_density(self) -> float:
@@ -317,7 +291,7 @@ class SpadeEngine:
             deg = in_deg.get(dst)
             if deg is None:
                 vid = vid_of.get(dst)
-                deg = self._in_deg[vid] if vid is not None else 0
+                deg = int(self._in_deg[vid]) if vid is not None else 0
                 if queued:
                     deg += queued.get(dst, 0)
             in_deg[dst] = deg = deg + 1
@@ -337,11 +311,9 @@ class SpadeEngine:
         vid = len(self._ext_of)
         self._vid_of[ext] = vid
         self._ext_of.append(ext)
-        self._in_deg.append(0)
-        self._w0.append(a)
-        self._f_total += a
+        self._f_total[0] += a
         self._reserve(vid + 1)
-        self._a[vid] = a
+        self._a[vid] = self._w0[vid] = a
         return vid
 
     def _reserve(self, n: int) -> None:
@@ -358,44 +330,29 @@ class SpadeEngine:
             setattr(self, name, grown)
         self._point()
 
-    def _grow_pool(self, need: int) -> None:
-        """Double the pool (from 64 entries) until it holds ``need``."""
-        size, used = max(64, len(self._nbr)), self._ctx.used
-        while size < need:
-            size *= 2
-        for name in ("_nbr", "_c"):
+    def _grow_pool(self, size: int) -> None:
+        """Reallocate the pool to ``size`` entries, keeping the used ones."""
+        used = self._ctx.used
+        for name in ("_nbr", "_c", "_mate"):
             old = getattr(self, name)
             grown = np.empty(size, dtype=old.dtype)
             grown[:used] = old[:used]
             setattr(self, name, grown)
         self._point()
 
-    def _add_edges(self, edges: Sequence[EdgeLike], cs: Sequence[float]) -> Set[int]:
-        """Accumulate validated edges into the combined adjacency.
+    def _add_edges(self, u: Sequence[int], v: Sequence[int], c: Sequence[float]) -> None:
+        """Apply the validated edges ``(u[i], v[i], c[i])`` in order.
 
-        Returns the vids of their endpoints. Each edge joins both rows
-        (the kernel's ``add_edge``; the pool grows when it lacks room);
-        ``f_total`` is accumulated edge by edge, in batch order.
+        One kernel ``add_edges`` call applies them to the rows, ``_w0``,
+        ``_in_deg`` and ``f_total``; where the pool runs short, it doubles
+        (from 64 entries) and the call resumes at that edge.
         """
-        vid_of, w0, in_deg = self._vid_of, self._w0, self._in_deg
-        s, add_edge = self._ctx, lib.add_edge
-        f_total = self._f_total
-        ends: Set[int] = set()
-        for e, c in zip(edges, cs):
-            u, v = vid_of[e[0]], vid_of[e[1]]
-            need = add_edge(s, u, v, c)
-            if need:
-                self._grow_pool(need)
-                add_edge(s, u, v, c)
-            w0[u] += c
-            w0[v] += c
-            in_deg[v] += 1
-            f_total += c
-            ends.add(u)
-            ends.add(v)
-        self._f_total = f_total
-        self._n_edges += len(cs)
-        return ends
+        s, m = self._ctx, len(c)
+        i = lib.add_edges(s, 0, m, u, v, c)
+        while i < m:
+            self._grow_pool(max(64, 2 * len(self._nbr)))
+            i = lib.add_edges(s, i, m, u, v, c)
+        self._n_edges += m
 
     # ------------------------------------------------------------------
     # bulk load + static peel (initialization path)
@@ -412,11 +369,12 @@ class SpadeEngine:
         engine that already holds a vertex raises ``ValueError``: after
         the load, the graph grows only through the insert APIs. The whole
         load is validated first: a rejected load leaves the engine as it
-        was. The load runs on columns (:meth:`_weigh_columns`, then the
-        kernel's ``ingest`` lays it out as CSR, the static peel runs over
-        that CSR and the CSR becomes the row pool), and leaves the same
-        rows, vertex weights, degrees, vids and ``f_total``, to the bit,
-        as ``insert_batch`` of the same edges would.
+        was. The load is weighed on columns (:meth:`_weigh_columns`);
+        each row gets room for its distinct neighbours, in vid order, so
+        ``add_edges`` fills the pool as CSR, and the static peel runs over
+        it. It leaves the same rows, vertex weights, degrees, vids and
+        ``f_total``, to the bit, as ``insert_batch`` of the same edges
+        would.
         """
         if self._ext_of:
             raise ValueError("bulk_load needs an empty engine; insert into a loaded one")
@@ -433,27 +391,27 @@ class SpadeEngine:
                 raise first from None
             raise
         n, m = len(new), len(c)
-        w0 = np.array(new_a, dtype=np.float64)
-        in_deg = np.zeros(n, dtype=np.int64)
+        self._vid_of = dict(zip(new, range(n)))
+        self._ext_of = list(new)
+        self._reserve(n)
+        self._a[:n] = self._w0[:n] = new_a
         f_total = 0.0
         for a in new_a:  # vertex mass first, in intern order, as _intern adds it
             f_total += a
-        ptr, nbr, cw, f_total = _ingest(u, v, c, w0, in_deg, f_total)
-        del u, v, c  # free the load's columns before the peel
-        self._vid_of = dict(zip(new, range(n)))
-        self._ext_of = list(new)
-        self._w0 = w0.tolist()
-        self._in_deg = in_deg.tolist()
-        self._f_total = f_total
-        self._n_edges = m
-        self._reserve(n)
-        self._a[:n] = new_a
-        # The CSR is the pool: each row fills its room, and the 2m
-        # half-edge slots past ptr[n] are the pool's first free room.
+        self._f_total[0] = f_total
+        # Row x's room is its number of distinct neighbours, rows in vid
+        # order; the pool keeps 2m entries, as many as the load's half-edges.
+        pairs = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+        room = np.bincount(pairs // n, minlength=n) + np.bincount(pairs % n, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(room, out=ptr[1:])
         self._rstart[:n] = ptr[:-1]
-        self._rlen[:n] = self._rcap[:n] = np.diff(ptr)
-        self._nbr, self._c = nbr, cw
+        self._rcap[:n] = room
+        self._grow_pool(2 * m)
         self._ctx.used = int(ptr[n])
+        fb = ffi.from_buffer
+        self._add_edges(fb("int64_t[]", u), fb("int64_t[]", v), fb("double[]", c))
+        del u, v, c, pairs  # free the load's columns before the peel
         self._rebuild_sequence(ptr)
 
     def _weigh_columns(
@@ -691,7 +649,11 @@ class SpadeEngine:
         cs, new_a = self._weigh(edges, priors or {})
         for ext, a in new_a.items():
             self._insert_head(self._intern(ext, a))
-        fresh = self._refresh_detection(self._reorder(self._add_edges(edges, cs)))
+        vid_of = self._vid_of
+        u = [vid_of[e[0]] for e in edges]
+        v = [vid_of[e[1]] for e in edges]
+        self._add_edges(u, v, cs)
+        fresh = self._refresh_detection(self._reorder(set(u).union(v)))
         if buffered:
             self._benign_buffer = []
             self._buffered_in.clear()
@@ -710,10 +672,10 @@ class SpadeEngine:
         """
         u = self._vid_of.get(src)
         v = self._vid_of.get(dst)
-        deg = (self._in_deg[v] if v is not None else 0) + 1
+        deg = (int(self._in_deg[v]) if v is not None else 0) + 1
         c = float(self.metric.esusp(float(amount), deg))
-        w_u = self._w0[u] if u is not None else self._default_a
-        w_v = self._w0[v] if v is not None else self._default_a
+        w_u = float(self._w0[u]) if u is not None else self._default_a
+        w_v = float(self._w0[v]) if v is not None else self._default_a
         g = self._best_g
         return (w_u + c < g) and (w_v + c < g)
 

@@ -16,15 +16,23 @@ holds the pool's fill and carries the reorder's walk from one call to the
 next. The graph is one row per vertex in a shared pool: row ``x`` is
 ``nbr``/``c`` over ``[rstart[x], rstart[x] + rlen[x])``, with room for
 ``rcap[x]`` entries; ``used`` of the pool's ``size`` entries are taken.
-The kernel has six entry points.
+Each edge has an entry in both its endpoints' rows, and ``mate[j]`` is
+the index of entry ``j``'s twin in the other row. The kernel has five
+entry points.
 
-``add_edge(s, u, v, c)`` adds an edge to both rows. A pair seen before
-adds ``c`` to its entry, so parallel weights sum in arrival order and a
-row keeps its neighbours in order of first appearance: the floats a dict
-adjacency gets from ``adj[u][v] = adj[u].get(v, 0.0) + c``. A new
-neighbour is appended; a full row first moves to the pool's end with
-twice its room. When the pool lacks that room, ``add_edge`` changes
-nothing and returns the pool size it needs; otherwise it returns 0.
+``add_edges(s, i, m, u, v, c)`` applies the edges ``i..m-1`` of the
+columns ``u``, ``v``, ``c`` in order, to both rows, to ``w0`` of both
+endpoints, to ``in_deg`` of ``v`` and to ``*f_total``. It scans the
+shorter of the two rows for the pair: a pair seen before adds ``c`` to
+its entry and, through ``mate``, to the twin, so parallel weights sum in
+arrival order and a row keeps its neighbours in order of first
+appearance: the floats a dict adjacency gets from ``adj[u][v] =
+adj[u].get(v, 0.0) + c``. A new neighbour is appended; a full row first
+moves to the pool's end with twice its room. It returns ``m``, or the
+index of the first edge whose rows the pool lacks the room for; that
+edge is not applied, so the caller grows the pool and resumes there.
+``bulk_load`` gives each row room for its distinct neighbours first, in
+vid order, so the same calls leave the pool as CSR.
 
 ``walk`` and ``relax`` run the reorder's frontier walk (see
 :meth:`~repro.core.engine.SpadeEngine._reorder`); only the T heap stays
@@ -59,15 +67,6 @@ min-heap on ``(w, vid)`` with lazy deletion, filling ``order`` and
 ``delta``. ``w`` and ``removed`` are ``n`` long and the heap arrays
 ``hw``/``hv`` hold ``n + ptr[n]`` entries; the caller checks that every
 neighbour id lies in ``[0, n)``.
-
-``ingest`` lays a load of ``m`` edges ``(u, v, c)`` among ``n`` vertices
-out as CSR (see :meth:`~repro.core.engine.SpadeEngine.bulk_load`). It
-adds each edge to ``w0`` of both endpoints, to ``in_deg`` of ``v`` and to
-``f_total``, in arrival order, and writes the CSR to ``ptr``/``nbr``/``cw``
-(``nbr`` and ``cw`` hold ``2m`` entries, the bucketed half-edges before
-they are compacted): its rows hold the floats, in the order, that
-``add_edge`` of the same edges would give. It returns the new
-``f_total``; ``hptr`` and ``where`` (``n`` long) are scratch.
 """
 from __future__ import annotations
 
@@ -87,8 +86,8 @@ STRUCT = """
 typedef struct {
     int64_t *order, *pos, *barg;
     double *delta, *F, *off, *pend, *bmax;
-    int64_t *rstart, *rlen, *rcap, *nbr;
-    double *c, *a;
+    int64_t *rstart, *rlen, *rcap, *nbr, *mate, *in_deg;
+    double *c, *a, *w0, *f_total;
     int64_t used, size;
     uint8_t *color;
     double *tw, *pw;
@@ -99,16 +98,14 @@ typedef struct {
 """
 
 CDEF = STRUCT + """
-int64_t add_edge(spade_t *s, int64_t u, int64_t v, double c);
+int64_t add_edges(spade_t *s, int64_t i, int64_t m, const int64_t *u, const int64_t *v,
+                  const double *c);
 int64_t walk(spade_t *s, int64_t nblack);
 int64_t relax(spade_t *s, int64_t vmin, double h);
 int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, int64_t B);
 void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
           const double *a, int64_t *order, double *delta, double *w, double *hw,
           int64_t *hv, uint8_t *removed);
-double ingest(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
-              const double *c, double *w0, int64_t *in_deg, double f_total,
-              int64_t *hptr, int64_t *where, int64_t *ptr, int64_t *nbr, double *cw);
 """
 
 SOURCE = r"""
@@ -173,47 +170,77 @@ static int64_t grown(int64_t r)
     return r ? 2 * r : 2;
 }
 
-/* Add c to entry j of row x; j < 0: append y, moving a full row first. */
-static void put(spade_t *s, int64_t x, int64_t y, double c, int64_t j)
+/* Move row x to the pool's end with twice its room; the twins of its
+   entries follow them. */
+static void move(spade_t *s, int64_t x)
 {
-    if (j >= 0) {
-        s->c[j] += c;
-        return;
-    }
-    if (s->rlen[x] == s->rcap[x]) {
-        int64_t from = s->rstart[x], i;
+    int64_t from = s->rstart[x], i;
 
-        for (i = 0; i < s->rlen[x]; i++) {
-            s->nbr[s->used + i] = s->nbr[from + i];
-            s->c[s->used + i] = s->c[from + i];
-        }
-        s->rstart[x] = s->used;
-        s->rcap[x] = grown(s->rcap[x]);
-        s->used += s->rcap[x];
+    for (i = 0; i < s->rlen[x]; i++) {
+        int64_t j = s->used + i;
+
+        s->nbr[j] = s->nbr[from + i];
+        s->c[j] = s->c[from + i];
+        s->mate[j] = s->mate[from + i];
+        s->mate[s->mate[j]] = j;
     }
+    s->rstart[x] = s->used;
+    s->rcap[x] = grown(s->rcap[x]);
+    s->used += s->rcap[x];
+}
+
+/* Append y to row x with weight c, moving a full row first; returns its index. */
+static int64_t append(spade_t *s, int64_t x, int64_t y, double c)
+{
+    int64_t j;
+
+    if (s->rlen[x] == s->rcap[x])
+        move(s, x);
     j = s->rstart[x] + s->rlen[x]++;
     s->nbr[j] = y;
     s->c[j] = c;
+    return j;
 }
 
-int64_t add_edge(spade_t *s, int64_t u, int64_t v, double c)
+int64_t add_edges(spade_t *s, int64_t i, int64_t m, const int64_t *u, const int64_t *v,
+                  const double *c)
 {
-    /* Rows are symmetric: v is in row u exactly when u is in row v. */
-    int64_t ju = find(s, u, v), jv = ju < 0 ? -1 : find(s, v, u);
+    for (; i < m; i++) {
+        int64_t x = u[i], y = v[i], jx, jy;
+        double w = c[i];
 
-    if (ju < 0) {
-        int64_t need = s->used;
+        /* Rows are symmetric: y is in row x exactly when x is in row y, so
+           the shorter row tells, and the entry's mate is its twin. */
+        if (s->rlen[x] <= s->rlen[y]) {
+            jx = find(s, x, y);
+            jy = jx < 0 ? -1 : s->mate[jx];
+        } else {
+            jy = find(s, y, x);
+            jx = jy < 0 ? -1 : s->mate[jy];
+        }
+        if (jx >= 0) {
+            s->c[jx] += w;
+            s->c[jy] += w;
+        } else {
+            int64_t need = s->used;
 
-        if (s->rlen[u] == s->rcap[u])
-            need += grown(s->rcap[u]);
-        if (s->rlen[v] == s->rcap[v])
-            need += grown(s->rcap[v]);
-        if (need > s->size)
-            return need;
+            if (s->rlen[x] == s->rcap[x])
+                need += grown(s->rcap[x]);
+            if (s->rlen[y] == s->rcap[y])
+                need += grown(s->rcap[y]);
+            if (need > s->size)
+                return i;
+            jx = append(s, x, y, w);
+            jy = append(s, y, x, w);
+            s->mate[jx] = jy;
+            s->mate[jy] = jx;
+        }
+        s->w0[x] += w;
+        s->w0[y] += w;
+        s->in_deg[y]++;
+        *s->f_total += w;
     }
-    put(s, u, v, c, ju);
-    put(s, v, u, c, jv);
-    return 0;
+    return m;
 }
 
 enum { BLACK = 1, GRAY = 2, IN_T = 4 };
@@ -527,69 +554,6 @@ void peel(int64_t n, const int64_t *ptr, const int64_t *nbr, const double *c,
             }
         }
     }
-}
-
-double ingest(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
-              const double *c, double *w0, int64_t *in_deg, double f_total,
-              int64_t *hptr, int64_t *where, int64_t *ptr, int64_t *nbr, double *cw)
-{
-    int64_t i, x, j, k = 0;
-
-    /* 1. Vertex weights, object degrees and f, edge by edge in arrival order. */
-    for (i = 0; i < m; i++) {
-        w0[u[i]] += c[i];
-        w0[v[i]] += c[i];
-        in_deg[v[i]]++;
-        f_total += c[i];
-    }
-
-    /* 2. Bucket the half-edges by endpoint into nbr/cw, in arrival order
-          within a bucket; afterwards bucket x is [hptr[x - 1], hptr[x]). */
-    for (x = 0; x < n; x++)
-        hptr[x] = 0;
-    for (i = 0; i < m; i++) {
-        hptr[u[i]]++;
-        hptr[v[i]]++;
-    }
-    for (x = 0, j = 0; x < n; x++) {
-        int64_t d = hptr[x];
-        hptr[x] = j;
-        j += d;
-    }
-    for (i = 0; i < m; i++) {
-        j = hptr[u[i]]++;
-        nbr[j] = v[i];
-        cw[j] = c[i];
-        j = hptr[v[i]]++;
-        nbr[j] = u[i];
-        cw[j] = c[i];
-    }
-
-    /* 3. Compact each bucket into its row, in place: the next entry k never
-          passes the half-edge j being read. A neighbour seen before adds to
-          its entry (where[y] is its index), so parallel edges sum left to
-          right in arrival order and every neighbour keeps the place of its
-          first appearance. */
-    for (x = 0; x < n; x++)
-        where[x] = -1;
-    for (x = 0; x < n; x++) {
-        int64_t start = k;
-        ptr[x] = k;
-        for (j = x ? hptr[x - 1] : 0; j < hptr[x]; j++) {
-            int64_t y = nbr[j];
-            if (where[y] >= 0) {
-                cw[where[y]] += cw[j];
-            } else {
-                where[y] = k;
-                nbr[k] = y;
-                cw[k++] = cw[j];
-            }
-        }
-        for (j = start; j < k; j++)
-            where[nbr[j]] = -1;
-    }
-    ptr[n] = k;
-    return f_total;
 }
 """
 

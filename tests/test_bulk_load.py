@@ -1,9 +1,10 @@
 """``bulk_load``'s columnar path against ``insert_batch``'s row path.
 
-``bulk_load`` weighs a load on columns and lays it out as CSR with the
-kernel's ``ingest``; ``insert_batch`` weighs and applies row by row. On
-an empty engine and the same rows, both must leave the same graph to the
-bit, and reject a malformed load with the same first error. A loaded
+``bulk_load`` weighs a load on columns and gives each row room for its
+distinct neighbours before the kernel's ``add_edges`` fills the rows, so
+its pool is CSR; ``insert_batch`` weighs row by row and its rows grow.
+On an empty engine and the same rows, both must leave the same graph to
+the bit, and reject a malformed load with the same first error. A loaded
 engine refuses a ``bulk_load``.
 """
 import math
@@ -72,8 +73,8 @@ def graph(eng):
             for p, k in zip(eng._rstart[:n], eng._rlen[:n])]
     return (
         rows,
-        np.array(eng._w0, dtype=np.float64).tobytes(),
-        list(eng._in_deg),
+        eng._w0[:n].tobytes(),
+        eng._in_deg[:n].tolist(),
         eng._a[:n].tobytes(),
         [(type(x), x, vid) for x, vid in eng._vid_of.items()],
         [(type(x), x) for x in eng._ext_of],
@@ -97,7 +98,19 @@ def test_bulk_load_matches_insert_batch(case):
     bulk.bulk_load(load, priors=priors)
     rows.insert_batch(load, priors=priors)
     assert graph(bulk) == graph(rows)
+    assert_csr(bulk)
     assert_engine_valid(bulk)
+
+
+def assert_csr(eng):
+    """The pool is CSR, as the static peel reads it: rows in vid order,
+    each full and right after the one before, and nothing else used."""
+    n = eng.n_vertices
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(eng._rlen[:n], out=ptr[1:])
+    np.testing.assert_array_equal(eng._rstart[:n], ptr[:-1])
+    np.testing.assert_array_equal(eng._rcap[:n], eng._rlen[:n])
+    assert eng._ctx.used == ptr[n]
 
 
 #: A malformed row, built from two distinct ids ``x`` and ``y``.

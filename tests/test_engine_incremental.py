@@ -8,13 +8,15 @@ state matches it" (``assert_engine_valid``); on continuous weights
 (ties measure-zero, DW metric) the sequence must match the static
 tie-broken peel *exactly*.
 """
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DG, DW, FD, SpadeEngine
+from repro.core import DG, DW, FD, Metric, SpadeEngine
 from repro.core.peel import csr, peel_sequence
-from tests.helpers import assert_engine_valid, random_edges
+from tests.helpers import assert_engine_valid, live_state, random_edges
 
 METRICS = [DG, DW, FD]
 
@@ -165,6 +167,50 @@ def test_w0_and_indegree_bookkeeping():
     eng.insert_edge("a", "b", 1.0)
     assert eng._in_deg[vb] == 3
     assert eng._w0[vb] == pytest.approx(6.0)
+
+
+def test_esusp_gets_an_int_degree():
+    """Every path that weighs an edge hands ``esusp`` a Python ``int``,
+    though the engine keeps the in-degrees in an int64 array."""
+    seen = []
+
+    def esusp(amount, deg):
+        seen.append(type(deg))
+        return float(amount)
+
+    eng = SpadeEngine(Metric("RECORD", vsusp=float, esusp=esusp))
+    calls = [
+        lambda: eng.bulk_load([("a", "b", 2.0), ("c", "b", 3.0)]),
+        lambda: eng.insert_edge("a", "b", 1.0),
+        lambda: eng.insert_batch([("c", "b", 1.0), ("d", "a", 0.5)]),
+        lambda: eng.is_benign("c", "b", 0.1),
+        lambda: eng.insert_grouped("d", "b", 0.1),
+        lambda: eng.insert_grouped("a", "c", 9.0),
+    ]
+    for call in calls:
+        seen.clear()
+        call()
+        assert seen and set(seen) == {int}
+
+
+def test_deepcopy_keeps_the_state_and_evolves_alike():
+    """A deep copy (the engine's ``__getstate__``/``__setstate__``) keeps
+    ``f_total``, the pool's fill, the rows and their mates, and points its
+    own kernel state at its own arrays: the same next batch, which moves
+    rows, grows the pool and adds vertices, leaves both engines equal."""
+    eng = SpadeEngine(DW, vertex_prior=0.2)
+    eng.bulk_load(random_edges(3, n=10, m=40, continuous=True))
+    eng.insert_batch([("v0", "v1", 0.5), ("w0", "v2", 1.5)])
+    twin = copy.deepcopy(eng)
+    assert live_state(twin) == live_state(eng)
+    assert twin._ctx.used == eng._ctx.used and twin._nbr is not eng._nbr
+    size = len(eng._nbr)
+    batch = [("v0", f"x{i}", 0.25 * i + 0.1) for i in range(300)] + [("v1", "v0", 0.1)] * 9
+    eng.insert_batch(batch)
+    twin.insert_batch(batch)
+    assert len(eng._nbr) > size
+    assert live_state(twin) == live_state(eng)
+    assert_engine_valid(twin)
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)

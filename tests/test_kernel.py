@@ -1,6 +1,7 @@
 """The compiled kernel: its build cache and warnings, the walk's white run
-against numpy, ``add_edge``'s rows and ``ingest`` against a dict oracle,
-and the input checks that guard ``peel``."""
+against numpy, the rows, vertex sums and mates that ``add_edges`` leaves
+against a dict oracle, also where it stops short and resumes, and the
+input checks that guard ``peel``."""
 import copy
 import math
 import os
@@ -260,28 +261,32 @@ def test_peel_rejects_malformed_input_before_the_kernel(monkeypatch, n, adj, a):
 
 
 @st.composite
-def ingests(draw):
-    """A load of edges among ``n`` vertices, and the ``w0``, ``in_deg`` and
-    ``f_total`` it adds to.
+def edge_batches(draw):
+    """Rows among ``n`` vertices already in the pool, a batch of edges to
+    apply after them, and the ``w0``, ``in_deg`` and ``f_total`` the edges
+    add to.
 
     Weights come from a small set with many 0.1s, so parallel edges pile
-    up.
+    up, and vertex 0 takes a third of the endpoints, so its row moves.
     """
     n = draw(st.integers(2, 10))
     weights = st.one_of(st.sampled_from([0.1, 0.1, 0.3, 1.0, 7.25]),
                         st.floats(1e-3, 1e3, allow_nan=False))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1])
-    edges = draw(st.lists(st.tuples(pair, weights).map(lambda t: (*t[0], t[1])),
-                          max_size=42))
+    end = st.one_of(st.just(0), st.integers(0, n - 1), st.integers(0, n - 1))
+    pair = st.tuples(end, end).filter(lambda p: p[0] != p[1])
+    edge = st.tuples(pair, weights).map(lambda t: (*t[0], t[1]))
+    rows = draw(st.lists(edge, max_size=12))
+    batch = draw(st.lists(edge, max_size=42))
     w0 = draw(st.lists(st.floats(0, 50, allow_nan=False), min_size=n, max_size=n))
     in_deg = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     f_total = draw(st.floats(0, 1e3, allow_nan=False))
-    return n, edges, w0, in_deg, f_total
+    return n, rows, batch, w0, in_deg, f_total
 
 
-def dict_ingest(adj, edges, w0, in_deg, f_total):
-    """The dict oracle: ``SpadeEngine._add_edges``'s arithmetic, edge by edge."""
+def dict_apply(n, edges, w0, in_deg, f_total):
+    """The dict oracle: ``adj[u][v] = adj[u].get(v, 0.0) + c`` and the
+    vertex sums, edge by edge. Returns ``(adj, w0, in_deg, f_total)``."""
+    adj, w0, in_deg = [{} for _ in range(n)], list(w0), list(in_deg)
     for u, v, c in edges:
         adj[u][v] = adj[u].get(v, 0.0) + c
         adj[v][u] = adj[v].get(u, 0.0) + c
@@ -289,35 +294,79 @@ def dict_ingest(adj, edges, w0, in_deg, f_total):
         w0[v] += c
         in_deg[v] += 1
         f_total += c
-    return f_total
+    return adj, w0, in_deg, f_total
+
+
+def columns(edges):
+    """The lists ``u``, ``v``, ``c`` of ``(u, v, c)`` edges."""
+    return ([e[i] for e in edges] for i in range(3))
+
+
+def assert_pool_matches(eng, want):
+    """The pool holds ``want`` (``dict_apply``'s result) to the bit, and
+    every live entry's mate is its twin: in the other endpoint's row, and
+    its own mate."""
+    adj, w0, in_deg, f_total = want
+    n = len(adj)
+    assert_rows_match(eng, adj)
+    assert eng._w0[:n].tobytes() == np.array(w0, dtype=np.float64).tobytes()
+    assert eng._in_deg[:n].tolist() == in_deg
+    assert eng.f_total.hex() == f_total.hex()
+    for x in range(n):
+        for j in range(eng._rstart[x], eng._rstart[x] + eng._rlen[x]):
+            y, twin = eng._nbr[j], eng._mate[j]
+            assert eng._mate[twin] == j
+            assert eng._rstart[y] <= twin < eng._rstart[y] + eng._rlen[y]
+            assert eng._nbr[twin] == x
 
 
 @settings(max_examples=300, deadline=None)
-@given(ingests())
-# More than 8 parallel 0.1 edges onto one pair: a pairwise sum (as
-# np.add.reduceat takes) would round differently from the sequential one.
-@example((3, [(0, 1, 0.1)] * 13 + [(2, 1, 0.1), (1, 2, 0.1)] * 5 + [(2, 0, 0.3)],
+@given(edge_batches())
+# More than 8 parallel 0.1 edges onto one pair: a pairwise sum would
+# round differently from the sequential one.
+@example((3, [], [(0, 1, 0.1)] * 13 + [(2, 1, 0.1), (1, 2, 0.1)] * 5 + [(2, 0, 0.3)],
           [0.0, 0.5, 0.0], [1, 0, 0], 0.7))
-# New neighbours arriving in both directions.
-@example((4, [(3, 1, 1.0), (0, 3, 0.1), (1, 3, 0.1), (2, 0, 7.25), (3, 0, 0.1)],
-          [0.0] * 4, [0] * 4, 0.0))
-def test_ingest_matches_dict_oracle(case):
-    n, edges, w0, in_deg, f_total = case
-    want_adj = [{} for _ in range(n)]
-    want_w0, want_deg = list(w0), list(in_deg)
-    want_f = dict_ingest(want_adj, edges, want_w0, want_deg, f_total)
+# A hub as src: its row moves at every doubling, the leaves' rows never do.
+@example((10, [(0, 1, 1.0)], [(0, j, 0.1 * j) for j in range(1, 10)] * 2,
+          [0.0] * 10, [0] * 10, 0.0))
+# Repeated edges into a hub: each is found in the leaf's shorter row.
+@example((8, [(1, 0, 0.3), (2, 0, 0.3)], [(j, 0, 0.1) for j in range(1, 8)] * 3,
+          [0.0] * 8, [0] * 8, 0.0))
+# A parallel edge after both of its rows moved in the same batch.
+@example((8, [(0, 1, 1.0), (1, 0, 0.1)],
+          [(0, 2, 1.0), (0, 3, 1.0), (1, 4, 7.25), (1, 5, 0.1), (1, 0, 0.1),
+           (0, 6, 0.3), (0, 7, 0.3), (0, 1, 0.1)],
+          [0.0] * 8, [0] * 8, 0.0))
+def test_add_edges_matches_dict_oracle(case):
+    """``add_edges`` onto rows already in a full pool, applied through the
+    engine: wherever a call stops short, the edges before that index are
+    applied to the bit and the edge at it is not; the pool then doubles
+    and the next call resumes there."""
+    n, rows, batch, w0, in_deg, f_total = case
+    eng = SpadeEngine(DW)
+    for x in range(n):
+        eng._intern(x, 0.0)
+    eng._w0[:n], eng._in_deg[:n], eng._f_total[0] = w0, in_deg, f_total
+    eng._add_edges(*columns(rows))
+    assert_pool_matches(eng, dict_apply(n, rows, w0, in_deg, f_total))
+    eng._grow_pool(eng._ctx.used)  # no free room: the first new pair stops the call
 
-    cols = np.array(edges, dtype=np.float64).reshape(-1, 3)
-    u, v = (np.ascontiguousarray(cols[:, i], dtype=np.int64) for i in (0, 1))
-    got_w0 = np.array(w0, dtype=np.float64)
-    got_deg = np.array(in_deg, dtype=np.int64)
-    ptr, nbr, c, got_f = engine_mod._ingest(u, v, cols[:, 2].copy(), got_w0, got_deg, f_total)
+    calls = []
 
-    want_ptr, want_nbr, want_c = peel_mod.csr(want_adj)
-    np.testing.assert_array_equal(ptr, want_ptr)
-    assert len(nbr) == len(c) == 2 * len(edges)  # the rows fill the first ptr[n]
-    np.testing.assert_array_equal(nbr[: ptr[n]], want_nbr)  # first-appearance order per row
-    assert c[: ptr[n]].tobytes() == want_c.tobytes()
-    assert got_w0.tobytes() == np.array(want_w0, dtype=np.float64).tobytes()
-    assert got_deg.tolist() == want_deg
-    assert got_f == want_f
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(kernel.lib, name)
+
+        def add_edges(self, s, i, m, u, v, c):
+            got = kernel.lib.add_edges(s, i, m, u, v, c)
+            calls.append((i, got, len(eng._nbr)))
+            assert_pool_matches(eng, dict_apply(n, rows + batch[:got], w0, in_deg, f_total))
+            return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "lib", Recording())
+        eng._add_edges(*columns(batch))
+    m = len(batch)
+    assert calls[0][0] == 0 and calls[-1][1] == m
+    for (_, stop, size), (start, _, grown) in zip(calls, calls[1:]):
+        assert stop == start < m and grown == max(64, 2 * size)
