@@ -57,9 +57,10 @@ Complexity: ``O(|E_T| log |V_T|)`` heap work per update in Python (a
 push per vertex entering ``T`` and per weight update of a ``T`` member,
 a pop per emission), one kernel call per pop, plus work in C in proportion to the edges of the
 recovered, popped and relaxed vertices and to the slots the walk moves
-(the white-run scans and moves), plus ``O(span)`` for ``Detect`` to
-re-accumulate the suffix weights of the rewritten span and rescan its
-blocks, plus ``O(n / BLOCK)`` for ``Detect`` to shift the earlier
+(the white-run scans, one ``memmove`` of ``O`` and ``Δ`` per run and
+the ``pos`` rewrite), plus ``O(span)`` for ``Detect``'s one pass down the
+rewritten span's blocks, which re-accumulates the span's suffix weights
+and rescans those blocks, plus ``O(n / BLOCK)`` for ``Detect`` to shift the earlier
 blocks' offsets and pick the best block, plus one ``O(BLOCK)`` rescan
 per block whose offset grew since its last scan and whose bound still
 wins. Every edge, loaded or inserted, is applied by one kernel call per

@@ -40,7 +40,9 @@ with the caller. Each vertex has a colour byte: black, gray and in T.
 ``walk(s, nblack)`` starts a walk from the ``nblack`` black vids in
 ``black`` (it sorts their slots there), or resumes the walk as it stands
 when ``nblack`` is 0. The walk emits runs of white slots whose ``Δ`` is
-below ``dmin``, recovers the weight of black and gray vertices, emits
+below ``dmin``, each moved down to ``out`` by one ``memmove`` of
+``order`` and one of ``delta`` and a pass that rewrites ``pos`` for the
+moved slots. It recovers the weight of black and gray vertices, emits
 those whose weight is unchanged in place, and puts the others in T,
 colouring their neighbours ahead gray. It returns the number of
 ``(pv, pw)`` pairs the caller must push onto its T heap before the head
@@ -58,7 +60,10 @@ holds the slots ``j`` with ``(hi - 1 - j) / B == b`` and its shortest
 suffix has ``b*B + 1`` vertices. ``F`` holds ``f(S_j)`` minus the offset
 ``off`` of the slot's block; each block keeps ``bmax``/``barg``, its best
 ``g`` and earliest best slot as of its last scan, and ``pend``, the
-offset added since that scan. ``detect`` returns the id of the block
+offset added since that scan. One pass down the rewritten span's blocks
+re-accumulates ``F`` over the span and rescans those blocks; block ``bf``,
+which holds the span's first slot, is finished below it after the blocks
+ahead of the span take the shift. ``detect`` returns the id of the block
 holding the best slot.
 
 ``peel`` is the static greedy peel (Algorithm 1, see
@@ -112,6 +117,7 @@ SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 """ + STRUCT + r"""
 /* First slot of block b: its range is [bottom, hi - b*B). */
 static int64_t bottom(int64_t lo, int64_t hi, int64_t B, int64_t b)
@@ -136,6 +142,18 @@ static void scan(const double *F, const double *off, double *pend, double *bmax,
     bmax[b] = best;
     barg[b] = arg;
     pend[b] = 0.0;
+}
+
+/* Fold slot j into a block's best g so far. A scan that runs down the
+   slots keeps a tie, so the earliest best slot wins as in scan(). */
+static void keep(const double *F, int64_t hi, int64_t j, double *best, int64_t *arg)
+{
+    double g = F[j] / (double)(hi - j);
+
+    if (g >= *best) {
+        *best = g;
+        *arg = j;
+    }
 }
 
 /* Move block b's offset into its stored F outside [first, end). */
@@ -342,12 +360,14 @@ static int64_t run(spade_t *s)
             ;
         if (out == k)
             out = j;
-        else
-            for (; k < j; k++, out++) {
-                order[out] = order[k];
-                delta[out] = delta[k];
+        else {
+            int64_t top = out + (j - k);
+
+            memmove(order + out, order + k, (size_t)(j - k) * sizeof *order);
+            memmove(delta + out, delta + k, (size_t)(j - k) * sizeof *delta);
+            for (; out < top; out++)
                 pos[order[out]] = out;
-            }
+        }
         k = j;
     }
     if (result < 0) {
@@ -418,7 +438,7 @@ int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, i
     const double *delta = s->delta;
     int64_t *barg = s->barg;
     int64_t nb = (hi - lo + B - 1) / B;
-    int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, j;
+    int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, i, j;
     double anchor = end < hi ? F[end] + off[(hi - 1 - end) / B] : 0.0;
     double old = first > lo ? F[first] + off[bf] : 0.0, sum = 0.0;
 
@@ -430,27 +450,40 @@ int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, i
     for (b = be + 1; b < bf; b++)
         off[b] = 0.0;
 
-    /* 2. Re-accumulate f(S_j) over the span, anchored at the true F[end]. */
-    for (j = end - 1; j >= first; j--) {
-        sum += delta[j];
-        F[j] = sum + anchor;
-    }
+    /* 2. One descending pass over the span's blocks, whose offsets are 0
+          by now, re-accumulates f(S_j) over [first, end), anchored at the
+          true F[end], and rescans each block: its slots from end up as
+          stored, the span as it is written, then in block bf the slots
+          below first once step 3 has shifted them. */
+    for (b = be; b <= bf; b++) {
+        int64_t bot = bottom(lo, hi, B, b), arg = bot;
+        double best = -INFINITY;
 
-    /* 3. Slots ahead of the span shift by the change d of F[first]: the
-          head of the first block directly, earlier blocks lazily. */
-    if (first > lo && F[first] != old) {
-        double d = F[first] - old;
-        for (j = bottom(lo, hi, B, bf); j < first; j++)
-            F[j] += d;
-        for (b = bf + 1; b < nb; b++) {
-            off[b] += d;
-            pend[b] += d;
+        for (j = hi - b * B - 1; j >= bot && j >= end; j--)
+            keep(F, hi, j, &best, &arg);
+        for (; j >= bot && j >= first; j--) {
+            sum += delta[j];
+            F[j] = sum + anchor;
+            keep(F, hi, j, &best, &arg);
         }
-    }
+        /* 3. Slots ahead of the span shift by the change d of F[first]:
+              the rest of block bf directly, earlier blocks lazily. */
+        if (b == bf && first > lo && F[first] != old) {
+            double d = F[first] - old;
 
-    /* 4. Rescan every block the span touched. */
-    for (b = be; b <= bf; b++)
-        scan(F, off, pend, bmax, barg, lo, hi, B, b);
+            for (i = bot; i < first; i++)
+                F[i] += d;
+            for (i = bf + 1; i < nb; i++) {
+                off[i] += d;
+                pend[i] += d;
+            }
+        }
+        for (; j >= bot; j--)
+            keep(F, hi, j, &best, &arg);
+        bmax[b] = best;
+        barg[b] = arg;
+        pend[b] = 0.0;
+    }
 
     /* Query: a block's g can exceed bmax by at most max(pend, 0) over its
        shortest suffix. Take the highest bound, ties to the earlier slots;

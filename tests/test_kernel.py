@@ -1,5 +1,5 @@
 """The compiled kernel: its build cache and warnings, the walk's white run
-against numpy, the rows, vertex sums and mates that ``add_edges`` leaves
+and ``detect`` against numpy, the rows, vertex sums and mates that ``add_edges`` leaves
 against a dict oracle, also where it stops short and resumes, and the
 input checks that guard ``peel``."""
 import copy
@@ -82,6 +82,16 @@ def white_runs(draw):
     return order, delta, k, out, limit, stop, dmin
 
 
+def kernel_state(arrays):
+    """A kernel state pointing at ``arrays``, a dict of its field names to
+    numpy arrays, which the caller keeps alive."""
+    s = kernel.ffi.new("spade_t *")
+    fields = dict(kernel.ffi.typeof("spade_t").fields)
+    for name, arr in arrays.items():
+        setattr(s, name, kernel.ffi.from_buffer(fields[name].type, arr))
+    return s
+
+
 def walk_state(order, delta, pos, color, a):
     """A kernel state over these arrays, with no edges; returns it and the
     arrays it points at, which the caller keeps alive."""
@@ -90,11 +100,7 @@ def walk_state(order, delta, pos, color, a):
               "rstart": np.zeros(n, dtype=np.int64), "rlen": np.zeros(n, dtype=np.int64),
               "tw": np.zeros(n), "pw": np.zeros(n), "pv": np.zeros(n, dtype=np.int64),
               "touched": np.zeros(n, dtype=np.int64)}
-    s = kernel.ffi.new("spade_t *")
-    fields = dict(kernel.ffi.typeof("spade_t").fields)
-    for name, arr in arrays.items():
-        setattr(s, name, kernel.ffi.from_buffer(fields[name].type, arr))
-    return s, arrays
+    return kernel_state(arrays), arrays
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,6 +114,8 @@ def walk_state(order, delta, pos, color, a):
 @example(([0, 1, 2], [0.0, 1.0, 2.0], 1, 1, 2, "gray", math.inf))
 # out < k with the moved range overlapping its source, stopped by a black slot
 @example(([6, 5, 4, 3, 2, 1, 0], [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0], 2, 1, 5, "black", 4.0))
+# a run of 10 slots moved down by one, the largest overlap
+@example((list(range(11, -1, -1)), [4.0] + [0.0, 1.0] * 5 + [2.0], 1, 0, 12, "end", math.inf))
 def test_walk_white_run_matches_numpy_reference(case):
     """The walk resumed at a white frontier ``k`` with T non-empty moves the
     white run that :func:`white_run_reference` moves. A gray or black slot
@@ -149,6 +157,105 @@ def test_walk_white_run_matches_numpy_reference(case):
     kept = np.ones(n + 3, dtype=bool)
     kept[order[moved]] = False
     np.testing.assert_array_equal(pos[kept], before[2][kept])
+
+
+B = 4  # slots per Detect block in the kernel's detect tests
+
+
+def tail_sums(delta):
+    """``f(S_j)`` of every slot: the sum of ``delta`` from ``j`` to the end."""
+    return np.cumsum(delta[::-1])[::-1]
+
+
+def block_best(g, lo, hi, b):
+    """Best ``g`` of block ``b`` over ``[lo, hi)`` and its earliest slot."""
+    bot, top = max(lo, hi - (b + 1) * B), hi - b * B
+    i = int(np.argmax(g[bot - lo : top - lo]))
+    return g[bot - lo + i], bot + i
+
+
+@st.composite
+def detect_cases(draw):
+    """A Detect block state over ``[lo, hi)``, exact for the old Δ under its
+    offsets and pending offsets, the span ``[first, end)`` a reorder rewrote
+    and the span's new Δ. Integer Δs and offsets keep every ``f(S_j)``
+    exact, so equal densities are equal doubles: ties are real ties."""
+    lo = draw(st.integers(0, 3))
+    hi = lo + draw(st.integers(1, 22))
+    first = draw(st.integers(lo, hi - 1))
+    end = draw(st.integers(first + 1, hi))
+    nb = -(-(hi - lo) // B)
+    small = st.integers(0, 3).map(float)
+    old = draw(st.lists(small, min_size=hi - lo, max_size=hi - lo))
+    new = draw(st.lists(small, min_size=end - first, max_size=end - first))
+    off = draw(st.lists(st.integers(-5, 5).map(float), min_size=nb, max_size=nb))
+    pend = draw(st.lists(st.sampled_from([0.0, 0.0, -2.0, 1.0, 3.0]), min_size=nb,
+                         max_size=nb))
+    return lo, hi, first, end, old, new, off, pend
+
+
+@settings(max_examples=400, deadline=None)
+@given(detect_cases())
+# a span from a block's bottom slot: only earlier blocks take the shift
+@example((0, 12, 4, 10, [1.0, 2.0, 0.0, 3.0] * 3, [3.0] * 6, [2.0, -1.0, 4.0],
+          [0.0, 1.0, 3.0]))
+# a span that ends at hi, the anchor f = 0
+@example((1, 13, 5, 13, [2.0, 1.0, 0.0] * 4, [0.0, 1.0] * 4, [1.0, -3.0, 5.0],
+          [0.0, 0.0, -2.0]))
+# a span inside one block, with slots of that block on both sides of it
+@example((1, 13, 6, 8, [0.0, 3.0, 1.0] * 4, [3.0, 3.0], [-2.0, 4.0, 1.0], [0.0, 3.0, 1.0]))
+# first == lo: every slot is re-accumulated from the span down
+@example((2, 11, 2, 7, [1.0] * 9, [2.0, 0.0, 3.0, 1.0, 1.0], [3.0, -5.0, 2.0],
+          [1.0, 0.0, 3.0]))
+# boundary blocks with nonzero offsets that the span splits
+@example((0, 16, 3, 10, [1.0, 0.0, 2.0, 3.0] * 4, [2.0] * 7, [5.0, -4.0, 3.0, -2.0],
+          [0.0, 3.0, 0.0, 1.0]))
+# a Δ plateau: g = 2 on every slot, across every block boundary; the
+# earliest slot wins, also over stale blocks whose bound ties
+@example((0, 14, 5, 9, [2.0] * 14, [2.0] * 4, [1.0, -1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]))
+@example((3, 15, 7, 12, [2.0] * 12, [2.0] * 5, [0.0, 4.0, -3.0], [1.0, -2.0, 3.0]))
+def test_detect_matches_full_recompute(case):
+    """``detect`` after a span rewrite, with blocks of 4 slots counted back
+    from ``hi``: ``F`` plus its block's offset is every slot's new
+    ``f(S_j)``, each block without a pending offset holds its exact best
+    and earliest best slot, and the block returned holds the sequence's
+    best slot, the earliest on a tie. Nothing outside ``[lo, hi)`` and its
+    blocks is written."""
+    lo, hi, first, end, old, new, off, pend = case
+    nb = len(off)
+    slots = np.arange(lo, hi)
+    blk = (hi - 1 - slots) // B
+    delta = np.full(hi + 2, 7.0)
+    delta[lo:hi] = old
+    f_old = tail_sums(delta[lo:hi])
+    off = np.array(off + [9.0])  # one block past nb, which detect must not touch
+    pend = np.array(pend + [9.0])
+    F = np.full(hi + 2, 5.0)
+    F[lo:hi] = f_old - off[blk]
+    bmax, barg = np.full(nb + 1, 9.0), np.full(nb + 1, -9, dtype=np.int64)
+    for b in range(nb):  # as of each block's last scan, before pend was added
+        bmax[b], barg[b] = block_best((f_old - pend[blk]) / (hi - slots), lo, hi, b)
+    delta[first:end] = new
+    f = tail_sums(delta[lo:hi])
+    g = f / (hi - slots)
+    arrays = {"F": F, "delta": delta, "off": off, "pend": pend, "bmax": bmax, "barg": barg}
+    outside = [F[:lo].copy(), F[hi:].copy(), delta.copy()]
+
+    b = kernel.lib.detect(kernel_state(arrays), lo, hi, first, end, B)
+
+    np.testing.assert_array_equal(F[lo:hi] + off[blk], f)
+    assert (barg[b], bmax[b]) == (lo + int(np.argmax(g)), g.max())
+    span_blocks = range((hi - end) // B, (hi - 1 - first) // B + 1)
+    for k in range(nb):
+        assert k not in span_blocks or pend[k] == 0.0, f"span block {k} kept a pending offset"
+        if pend[k] == 0.0:
+            assert (bmax[k], barg[k]) == block_best(g, lo, hi, k), f"block {k}"
+        else:  # still a bound: g in block k exceeds bmax by at most pend / size
+            size = hi - slots[blk == k]
+            assert np.all(g[blk == k] <= bmax[k] + pend[k] / size + 1e-12), f"block {k}"
+    for got, want in zip([F[:lo], F[hi:], delta], outside):
+        np.testing.assert_array_equal(got, want)
+    assert (off[nb], pend[nb], bmax[nb], barg[nb]) == (9.0, 9.0, 9.0, -9)
 
 
 def dict_rows(eng, edges, adj):
