@@ -50,8 +50,9 @@ The graph is one row per vertex in a shared numpy pool (see
 pool's end with twice the room, and the pool doubles when it is full.
 The walk runs in the kernel over those rows, the slot arrays and one
 colour byte per vertex, and returns to Python only when the head of
-``T`` must pop; what stays in Python is ``T`` itself, a ``heapq`` heap
-with the dict ``wT`` of its live weights.
+``T`` must pop; what stays in Python is ``T``'s ``heapq`` heap of
+``(w, vid)`` entries, which are live or not by the kernel's weights
+``tw`` and colour bytes, the only record of ``T``'s weights.
 
 Complexity: ``O(|E_T| log |V_T|)`` heap work per update in Python (a
 push per vertex entering ``T`` and per weight update of a ``T`` member,
@@ -104,7 +105,7 @@ BLOCK = 256
 _VERTEX = (("_pos", np.int64, -1), ("_rstart", np.int64, 0), ("_rlen", np.int64, 0),
            ("_rcap", np.int64, 0), ("_a", np.float64, 0.0), ("_w0", np.float64, 0.0),
            ("_in_deg", np.int64, 0), ("_color", np.uint8, 0),
-           ("_tw", np.float64, 0.0), ("_pw", np.float64, 0.0), ("_pv", np.int64, 0),
+           ("_tw", np.float64, 0.0), ("_pv", np.int64, 0),
            ("_black", np.int64, 0), ("_touched", np.int64, 0))
 
 #: The kernel state's array fields; each points at the engine attribute of
@@ -588,10 +589,14 @@ class SpadeEngine:
 
         The kernel's ``walk`` moves the frontier (white runs, recoveries,
         in-place emissions, gray colouring, the write-back) and stops when
-        the head of T must pop, handing over the vertices that entered T
-        or changed weight since. Here they join the pending queue ``T``: a
-        ``heapq`` min-heap on ``(w, vid)`` with lazy deletion, whose live
-        entries are those that ``wT`` still holds. The paper pops on
+        the head of T must pop, handing over the vids that entered T or
+        changed weight since. Here each joins the pending queue ``T`` at
+        its kernel weight ``tw[v]``: a ``heapq`` min-heap on ``(w, vid)``
+        with lazy deletion. An entry is live iff its vertex is not the one
+        just popped, still has the ``IN_T`` colour bit and weighs ``w``;
+        the popped vertex leaves T only inside ``relax``, and an edge too
+        light to change a weight (``tw - c == tw``, weights 2^53 or more
+        apart) queues a twin of a live entry. The paper pops on
         ``Δ_min < Δ_k``; the walk pops on *equality* too, an equally valid
         greedy tie-break (pending weights are still ``>= Δ_k >= Δ_min``)
         that is load-bearing for performance: integer-weight metrics (DG)
@@ -604,23 +609,24 @@ class SpadeEngine:
         """
         if not black:
             return (self._hi, self._hi)
-        s, pv, pw = self._ctx, self._pv, self._pw
-        push, pop, relax = heapq.heappush, heapq.heappop, lib.relax
+        s, pv, tw, color = self._ctx, self._pv, self._ctx.tw, self._ctx.color
+        push, pop, relax, in_t = heapq.heappush, heapq.heappop, lib.relax, lib.IN_T
         self._black[: len(black)] = list(black)
         s.end = self._hi
-        wT: Dict[int, float] = {}
         heap: List[Tuple[float, int]] = []
         queued = lib.walk(s, len(black))
         while queued >= 0:
-            for v, w in zip(pv[:queued].tolist(), pw[:queued].tolist()):
-                wT[v] = w
-                push(heap, (w, v))
+            for v in pv[:queued].tolist():
+                push(heap, (tw[v], v))
             # The head is live: the prune after the last pop left a live
             # head with no smaller entry under it, and a vertex whose weight
             # fell since came back with a smaller entry.
             _, vmin = pop(heap)
-            del wT[vmin]
-            while heap and (heap[0][1] not in wT or heap[0][0] != wT[heap[0][1]]):
+            # vmin leaves T in relax; an absorbed edge (tw - c == tw) can queue its twin.
+            while heap:
+                w, v = heap[0]
+                if v != vmin and color[v] & in_t and tw[v] == w:
+                    break
                 pop(heap)
             queued = relax(s, vmin, heap[0][0] if heap else math.inf)
         return s.first, s.stop

@@ -36,22 +36,23 @@ vid order, so the same calls leave the pool as CSR.
 
 ``walk`` and ``relax`` run the reorder's frontier walk (see
 :meth:`~repro.core.engine.SpadeEngine._reorder`); only the T heap stays
-with the caller. Each vertex has a colour byte: black, gray and in T.
-``walk(s, nblack)`` starts a walk from the ``nblack`` black vids in
-``black`` (it sorts their slots there), or resumes the walk as it stands
-when ``nblack`` is 0. The walk emits runs of white slots whose ``Δ`` is
-below ``dmin``, each moved down to ``out`` by one ``memmove`` of
-``order`` and one of ``delta`` and a pass that rewrites ``pos`` for the
-moved slots. It recovers the weight of black and gray vertices, emits
-those whose weight is unchanged in place, and puts the others in T,
-colouring their neighbours ahead gray. It returns the number of
-``(pv, pw)`` pairs the caller must push onto its T heap before the head
-of T pops, or -1 once the walk has ended: then ``[first, stop)`` is the
-rewritten span and every colour is cleared. ``relax(s, vmin, h)`` pops
-``vmin``: it writes it at ``out``, takes its edges off its neighbours in
-T and queues their new weights, sets ``dmin`` to the least of ``h`` (the
-caller's heap head once ``vmin`` is off it) and those weights, and
-resumes the walk.
+with the caller, and ``tw`` with the colour bytes are the only record of
+T's weights. Each vertex has a colour byte: black, gray and in T.
+``walk(s, nblack)`` starts a walk from the ``nblack > 0`` black vids in
+``black`` (it sorts their slots there). The walk emits runs of white
+slots whose ``Δ`` is below ``dmin``, each moved down to ``out`` by one
+``memmove`` of ``order`` and one of ``delta`` and a pass that rewrites
+``pos`` for the moved slots. It recovers the weight of black and gray
+vertices, emits those whose weight is unchanged in place, and puts the
+others in T at weight ``tw``, colouring their neighbours ahead gray. It
+returns the number of vids queued in ``pv`` that the caller must push
+onto its T heap, each at its ``tw``, before the head of T pops, or -1
+once the walk has ended: then ``[first, stop)`` is the rewritten span
+and every colour is cleared. ``relax(s, vmin, h)`` pops ``vmin``: it
+writes it at ``out``, clears its ``IN_T`` bit, takes its edges off the
+``tw`` of its neighbours in T and queues them, sets ``dmin`` to the
+least of ``h`` (the caller's heap head once ``vmin`` is off it) and
+those weights, and resumes the walk.
 
 ``detect`` is the engine's ``Detect`` update (see
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
@@ -86,8 +87,11 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-#: The engine state the kernel sees, declared once for the cdef and the source.
+#: The engine state the kernel sees and the bits of its colour byte,
+#: declared once for the cdef and the source.
 STRUCT = """
+enum { BLACK = 1, GRAY = 2, IN_T = 4 };
+
 typedef struct {
     int64_t *order, *pos, *barg;
     double *delta, *F, *off, *pend, *bmax;
@@ -95,7 +99,7 @@ typedef struct {
     double *c, *a, *w0, *f_total;
     int64_t used, size;
     uint8_t *color;
-    double *tw, *pw;
+    double *tw;
     int64_t *black, *touched, *pv;
     int64_t nblack, bi, ntouched, nT, npend, k, out, end, first, stop;
     double dmin;
@@ -261,8 +265,6 @@ int64_t add_edges(spade_t *s, int64_t i, int64_t m, const int64_t *u, const int6
     return m;
 }
 
-enum { BLACK = 1, GRAY = 2, IN_T = 4 };
-
 /* Colour v; a vertex coloured for the first time joins touched. */
 static void paint(spade_t *s, int64_t v, uint8_t colour)
 {
@@ -279,7 +281,7 @@ static int ascending(const void *x, const void *y)
 }
 
 /* Walk from slot k until the head of T must pop (returns the number of
-   queued pushes) or the walk ends (returns -1). out is the next output
+   vids queued in pv) or the walk ends (returns -1). out is the next output
    slot: a segment has emitted no more vertices than it has consumed (the
    difference is |T|), so out <= k, every write lands on a slot already
    read, and out == k exactly when T is empty. */
@@ -342,8 +344,7 @@ static int64_t run(spade_t *s)
             color[v] |= IN_T;
             s->tw[v] = w;
             s->nT++;
-            s->pv[s->npend] = v;
-            s->pw[s->npend++] = w;
+            s->pv[s->npend++] = v;
             if (w < dmin)
                 dmin = w;
             /* Only neighbours ahead of the frontier are still tested. */
@@ -386,22 +387,19 @@ static int64_t run(spade_t *s)
 
 int64_t walk(spade_t *s, int64_t nblack)
 {
-    s->npend = 0;
-    if (nblack > 0) {
-        int64_t i;
+    int64_t i;
 
-        for (i = 0; i < nblack; i++) {
-            paint(s, s->black[i], BLACK);
-            s->black[i] = s->pos[s->black[i]];
-        }
-        qsort(s->black, (size_t)nblack, sizeof *s->black, ascending);
-        s->nblack = nblack;
-        s->bi = s->nT = 0;
-        s->k = s->out = s->black[0];
-        s->first = -1;
-        s->stop = s->end;
-        s->dmin = INFINITY;
+    for (i = 0; i < nblack; i++) {
+        paint(s, s->black[i], BLACK);
+        s->black[i] = s->pos[s->black[i]];
     }
+    qsort(s->black, (size_t)nblack, sizeof *s->black, ascending);
+    s->nblack = nblack;
+    s->bi = s->nT = s->npend = 0;
+    s->k = s->out = s->black[0];
+    s->first = -1;
+    s->stop = s->end;
+    s->dmin = INFINITY;
     return run(s);
 }
 
@@ -423,8 +421,7 @@ int64_t relax(spade_t *s, int64_t vmin, double h)
         if (s->color[u] & IN_T) {
             double w = s->tw[u] -= s->c[j];
 
-            s->pv[s->npend] = u;
-            s->pw[s->npend++] = w;
+            s->pv[s->npend++] = u;
             if (w < s->dmin)
                 s->dmin = w;
         }

@@ -1,4 +1,5 @@
-"""The compiled kernel: its build cache and warnings, the walk's white run
+"""The compiled kernel: its build cache and warnings, the engine's vertex
+arrays against its state's pointers, the walk's white run
 and ``detect`` against numpy, the rows, vertex sums and mates that ``add_edges`` leaves
 against a dict oracle, also where it stops short and resumes, and the
 input checks that guard ``peel``."""
@@ -65,6 +66,18 @@ def test_source_compiles_with_warnings_as_errors(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def test_every_vertex_array_is_a_kernel_pointer():
+    """Each per-vertex array the engine grows is a pointer field of the
+    kernel state, and each pointer field has an engine array of its name,
+    so the engine keeps no array the kernel never reads."""
+    pointers = {name for name, field in kernel.ffi.typeof("spade_t").fields
+                if field.type.kind == "pointer"}
+    vertex = {name[1:] for name, _, _ in engine_mod._VERTEX}
+    assert vertex <= pointers, vertex - pointers
+    eng = SpadeEngine(DW)
+    assert all(isinstance(getattr(eng, "_" + name, None), np.ndarray) for name in pointers)
+
+
 @st.composite
 def white_runs(draw):
     """A sequence, a white frontier ``k`` with ``out <= k`` and what stops
@@ -98,7 +111,7 @@ def walk_state(order, delta, pos, color, a):
     n = len(pos)
     arrays = {"order": order, "delta": delta, "pos": pos, "color": color, "a": a,
               "rstart": np.zeros(n, dtype=np.int64), "rlen": np.zeros(n, dtype=np.int64),
-              "tw": np.zeros(n), "pw": np.zeros(n), "pv": np.zeros(n, dtype=np.int64),
+              "tw": np.zeros(n), "pv": np.zeros(n, dtype=np.int64),
               "touched": np.zeros(n, dtype=np.int64)}
     return kernel_state(arrays), arrays
 
@@ -117,28 +130,37 @@ def walk_state(order, delta, pos, color, a):
 # a run of 10 slots moved down by one, the largest overlap
 @example((list(range(11, -1, -1)), [4.0] + [0.0, 1.0] * 5 + [2.0], 1, 0, 12, "end", math.inf))
 def test_walk_white_run_matches_numpy_reference(case):
-    """The walk resumed at a white frontier ``k`` with T non-empty moves the
-    white run that :func:`white_run_reference` moves. A gray or black slot
-    at ``limit`` stops the run; its vertex, whose weight is out of reach,
-    then enters T, and the sequence's end follows it, so the walk stops
-    there for the pop."""
+    """The walk ``relax`` resumes after a pop, at a white frontier ``k``
+    with T non-empty, moves the white run that :func:`white_run_reference` moves.
+    The case gets a slot in front, holding an edgeless vertex in T that
+    ``relax`` pops to the slot before ``out``, so every slot of the case
+    sits one further on. A gray or black slot at ``limit`` stops the run;
+    its vertex, whose weight is out of reach, then enters T, and the
+    sequence's end follows it, so the walk stops there for the pop."""
     order, delta, k, out, limit, stop, dmin = case
-    n = len(order)
-    order = np.array(order, dtype=np.int64)
-    delta = np.array(delta, dtype=np.float64)
+    n = len(order) + 1
+    popped = n - 1
+    order = np.array([popped, *order], dtype=np.int64)
+    delta = np.array([0.0, *delta], dtype=np.float64)
+    k, out, limit = k + 1, out + 1, limit + 1
     pos = np.full(n + 3, -7, dtype=np.int64)  # vids past n are not in the sequence
     pos[order] = np.arange(n)
     color = np.zeros(n + 3, dtype=np.uint8)
+    color[popped] = kernel.lib.IN_T
     a = np.full(n + 3, 1e300)
     end = limit if stop == "end" else limit + 1
     if stop != "end":
         color[order[limit]] = {"gray": 2, "black": 1}[stop]
-    before = [order.copy(), delta.copy(), pos.copy()]
-    want = [x.copy() for x in before]
-    s, _keep = walk_state(order, delta, pos, color, a)
-    s.k, s.out, s.end, s.dmin, s.nT, s.first = k, out, end, dmin, 1, -1
-    queued = kernel.lib.walk(s, 0)
+    s, keep = walk_state(order, delta, pos, color, a)
+    keep["tw"][popped] = 0.25
+    s.k, s.out, s.end, s.nT, s.first = k, out - 1, end, 2, -1
+    want = [order.copy(), delta.copy(), pos.copy()]
+    want[0][out - 1], want[1][out - 1], want[2][popped] = popped, 0.25, out - 1
+    before = [x.copy() for x in want]
+    queued = kernel.lib.relax(s, popped, dmin)
 
+    assert (order[out - 1], delta[out - 1], pos[popped]) == (popped, 0.25, out - 1)
+    assert not color[popped] & kernel.lib.IN_T
     if dmin <= delta[k]:  # the head of T pops before any white slot
         want_event = k
     else:

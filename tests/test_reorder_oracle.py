@@ -21,9 +21,12 @@ POOL = 8  # vertices v0..v7 of the initial graph
 #: Many repeats, so parallel edges and tied weights are common.
 amounts = st.one_of(st.sampled_from([0.1, 0.5, 1.0, 2.0]), st.floats(0.05, 20.0))
 
+#: Amounts 2^53 or more apart: a large weight absorbs a small one, ``w - c == w``.
+far_amounts = st.sampled_from([1e17, 3e17, 1.0, 2.0, 0.5])
+
 
 @st.composite
-def edges(draw, n_new=0, max_size=6):
+def edges(draw, n_new=0, max_size=6, amount=amounts):
     """Edges over the initial pool plus ``n_new`` fresh-vertex names."""
     names = [f"v{k}" for k in range(POOL)] + [f"new{k}" for k in range(n_new)]
     out = []
@@ -31,7 +34,7 @@ def edges(draw, n_new=0, max_size=6):
         u, v = draw(st.sampled_from(names)), draw(st.sampled_from(names))
         if u == v:
             v = f"v{(int(u[1:]) + 1) % POOL}" if u.startswith("v") else "v0"
-        out.append((u, v, draw(amounts)))
+        out.append((u, v, draw(amount)))
     return out
 
 
@@ -109,3 +112,32 @@ def test_walk_matches_the_python_reorder(data):
     assert fingerprint(engines[0]) == fingerprint(engines[1])
     assert not engines[0]._color.any(), "the walk left a vertex coloured"
     assert_engine_valid(engines[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_matches_the_python_reorder_on_far_apart_weights(data):
+    """Weights 2^53 or more apart: under DW with amounts from
+    ``far_amounts`` and under FD with a 1e17 prior, a T member's weight
+    can absorb an edge, so ``relax`` queues an entry equal to a live one,
+    and the twin of the vertex just popped must not pass for a live head.
+    ``assert_engine_valid`` is not called: its running ``w[u] -= c``
+    absorbs the small weights too."""
+    metric, prior = data.draw(st.sampled_from([(DW, 0.3), (FD, 1e17)]), label="metric")
+    engines = [SpadeEngine(metric, vertex_prior=prior),
+               DictReorderEngine(metric, vertex_prior=prior)]
+    initial = data.draw(edges(max_size=24, amount=far_amounts), label="initial")
+    for eng in engines:
+        eng.bulk_load(initial)
+    assert fingerprint(engines[0]) == fingerprint(engines[1])
+    for step in range(data.draw(st.integers(1, 12), label="steps")):
+        batch = data.draw(edges(n_new=2, max_size=8, amount=far_amounts), label="batch")
+        batch = [tuple(f"{x}.{step}" if x.startswith("new") else x for x in (u, v)) + (c,)
+                 for u, v, c in batch]
+        for eng in engines:
+            if len(batch) == 1:
+                eng.insert_edge(*batch[0])
+            else:
+                eng.insert_batch(batch)
+        assert fingerprint(engines[0]) == fingerprint(engines[1]), step
+    assert not engines[0]._color.any(), "the walk left a vertex coloured"
