@@ -38,12 +38,12 @@ scratch peel.
 Emissions are written back in place as the frontier advances, and
 ``Detect`` keeps ``f(S_j)`` per slot under per-block lazy offsets and
 each block's best ``g(S_j)``, so an update re-accumulates suffix weights
-only over the slots its reorder rewrote and rescans only the blocks
-that span touched (the compiled kernel in :mod:`repro.core.kernel`).
-That span update is the only way ``Detect`` is computed: a static peel
-enters as one span over every slot, a front-gap regrow carries the
-cached slots along with the sequence, and an empty batch rewrites an
-empty span.
+and rescans only over the whole blocks its reorder rewrote (the
+compiled kernel in :mod:`repro.core.kernel`). That span update is the
+only way ``Detect`` is computed: a static peel enters as one span over
+every slot, head-inserted slots join their batch's span, a front-gap
+regrow carries the cached slots along with the sequence, and an empty
+batch rewrites an empty span.
 
 The graph is one row per vertex in a shared numpy pool (see
 :mod:`repro.core.kernel`): a row fills its room, then moves to the
@@ -59,11 +59,11 @@ push per vertex entering ``T`` and per weight update of a ``T`` member,
 a pop per emission), one kernel call per pop, plus work in C in proportion to the edges of the
 recovered, popped and relaxed vertices and to the slots the walk moves
 (the white-run scans, one ``memmove`` of ``O`` and ``Δ`` per run and
-the ``pos`` rewrite), plus ``O(span)`` for ``Detect``'s one pass down the
-rewritten span's blocks, which re-accumulates the span's suffix weights
-and rescans those blocks, plus ``O(n / BLOCK)`` for ``Detect`` to shift the earlier
-blocks' offsets and pick the best block, plus one ``O(BLOCK)`` rescan
-per block whose offset grew since its last scan and whose bound still
+the ``pos`` rewrite), plus ``O(span + BLOCK)`` for ``Detect``'s one pass
+down the rewritten span's whole blocks, which re-accumulates their
+suffix weights and rescans them, plus ``O(n / BLOCK)`` for ``Detect`` to
+shift the earlier blocks' offsets and pick the best block, plus one
+``O(BLOCK)`` rescan per stale block (offset not 0) whose bound still
 wins. Every edge, loaded or inserted, is applied by one kernel call per
 batch (``add_edges``), in ``O(min(deg u, deg v))`` per edge: it scans the
 shorter endpoint row for a parallel edge and reaches the twin entry in
@@ -155,19 +155,17 @@ class SpadeEngine:
         self._lo = 0
         self._hi = 0
         # --- detection state ----------------------------------------------
-        # _F is aligned with the backing arrays and valid on [_det_lo, _hi).
+        # _F is aligned with the backing arrays and valid on [_lo, _hi).
         # Block b holds the slots j with (_hi - 1 - j) // _block == b, so
         # block ids survive head insertions and front-gap regrows; then
-        # f(S_j) = _F[j] + _off[b]. _bmax[b]/_barg[b] are the block's best
-        # g(S_j) and earliest best slot at its last scan, and _pend[b] the
-        # offset it gained since (see repro.core.kernel).
+        # f(S_j) = _F[j] + _off[b], where _off[b] is the gain block b has
+        # had since it was last exact, and _bmax[b]/_barg[b] are its best
+        # g(S_j) and earliest best slot as of then (see repro.core.kernel).
         self._block = BLOCK
         self._F = np.empty(0, dtype=np.float64)
         self._off = np.zeros(0, dtype=np.float64)
-        self._pend = np.zeros(0, dtype=np.float64)
         self._bmax = np.zeros(0, dtype=np.float64)
         self._barg = np.zeros(0, dtype=np.int64)
-        self._det_lo = 0
         self._best_g = 0.0
         self._community: Set[int] = set()
         # --- edge grouping -------------------------------------------------
@@ -308,15 +306,21 @@ class SpadeEngine:
         self.metric.check(a, 1.0)
         return a
 
-    def _intern(self, ext: Hashable, a: float) -> int:
-        """Register a new vertex with suspiciousness ``a`` (validated)."""
-        vid = len(self._ext_of)
-        self._vid_of[ext] = vid
-        self._ext_of.append(ext)
-        self._f_total[0] += a
-        self._reserve(vid + 1)
-        self._a[vid] = self._w0[vid] = a
-        return vid
+    def _add_vertices(self, ids: Sequence[Hashable], a: Sequence[float]) -> None:
+        """Register the new vertices ``ids`` with suspiciousness ``a`` (validated).
+
+        They take the next vids in order, and their mass joins ``f_total``
+        one vertex at a time, in vid order.
+        """
+        n, k = len(self._ext_of), len(ids)
+        self._vid_of.update(zip(ids, range(n, n + k)))
+        self._ext_of.extend(ids)
+        self._reserve(n + k)
+        self._a[n : n + k] = self._w0[n : n + k] = a
+        f_total = float(self._f_total[0])
+        for x in a:
+            f_total += x
+        self._f_total[0] = f_total
 
     def _reserve(self, n: int) -> None:
         """Grow the vertex arrays (doubling, from 64) to hold vids below ``n``."""
@@ -393,14 +397,7 @@ class SpadeEngine:
                 raise first from None
             raise
         n, m = len(new), len(c)
-        self._vid_of = dict(zip(new, range(n)))
-        self._ext_of = list(new)
-        self._reserve(n)
-        self._a[:n] = self._w0[:n] = new_a
-        f_total = 0.0
-        for a in new_a:  # vertex mass first, in intern order, as _intern adds it
-            f_total += a
-        self._f_total[0] = f_total
+        self._add_vertices(new, new_a)
         # Row x's room is its number of distinct neighbours, rows in vid
         # order; the pool keeps 2m entries, as many as the load's half-edges.
         pairs = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
@@ -478,11 +475,10 @@ class SpadeEngine:
         self._F = np.empty(pad + n, dtype=np.float64)
         n_blocks = -(-(pad + n) // self._block)
         self._off = np.zeros(n_blocks, dtype=np.float64)
-        self._pend = np.zeros(n_blocks, dtype=np.float64)
         self._bmax = np.zeros(n_blocks, dtype=np.float64)
         self._barg = np.zeros(n_blocks, dtype=np.int64)
         self._lo = pad
-        self._hi = self._det_lo = pad + n  # no F slot valid yet
+        self._hi = pad + n
         self._pos[self._order[pad:]] = np.arange(pad, pad + n, dtype=np.int64)
         self._point()
         self._refresh_detection((self._lo, self._hi))
@@ -494,25 +490,20 @@ class SpadeEngine:
         """Update the suffix densities; return the *new* fraudsters (ext ids).
 
         ``span = (first, end)`` is the slot range whose ``Δ`` changed:
-        the reorder's rewritten span, or the whole sequence after a
-        static peel. ``f(S_j)`` is the sum of ``Δ`` from slot ``j`` to
-        ``_hi``, so slots at or past ``end`` keep ``F``; slots before
-        ``first`` keep their ``Δ`` and shift ``F`` by one constant, the
-        change of ``F[first]``, which blocks wholly ahead of the span
-        take as a lazy offset; only ``[first, end)`` is re-accumulated
-        and only its blocks are rescanned. A block whose offset grew
-        since its last scan is rescanned only if its bound could still
-        win. Slots before ``_det_lo`` (head-inserted vertices, or every
-        slot after a static peel) join the span. An empty span leaves
-        the state and ``S^P`` as they stand. The earliest slot wins a
-        tie, as in :func:`~repro.core.peel.best_community`; ``S^P`` is
-        rebuilt only when the winning suffix could have changed.
+        the reorder's rewritten span joined with any head-inserted slots,
+        or the whole sequence after a static peel. ``f(S_j)`` is the sum
+        of ``Δ`` from slot ``j`` to ``_hi``, so slots past the span keep
+        ``F``, and slots ahead of it keep their ``Δ`` and shift ``F`` by
+        one constant, the change of ``F[first]``. The span's blocks are
+        re-accumulated and rescanned whole; the blocks ahead of them take
+        the shift as a lazy offset, and such a stale block is rescanned
+        only if its bound could still win. An empty span leaves the state
+        and ``S^P`` as they stand. The earliest slot wins a tie, as in
+        :func:`~repro.core.peel.best_community`; ``S^P`` is rebuilt only
+        when the winning suffix could have changed.
         """
-        lo, hi, det_lo = self._lo, self._hi, self._det_lo
+        lo, hi = self._lo, self._hi
         first, end = span
-        if lo < det_lo:
-            first, end = lo, max(end, det_lo)
-            self._det_lo = lo
         if first >= end:
             return set()  # no slot rewritten (always so for an empty sequence)
         b = lib.detect(self._ctx, lo, hi, first, end, self._block)
@@ -551,31 +542,32 @@ class SpadeEngine:
         # Block ids count back from _hi, so existing blocks keep theirs and
         # the new ones, all ahead of the sequence, start without offsets.
         extra = -(-len(self._order) // self._block) - len(self._off)
-        for name in ("_off", "_pend", "_bmax", "_barg"):
+        for name in ("_off", "_bmax", "_barg"):
             old = getattr(self, name)
             setattr(self, name, np.concatenate((old, np.zeros(extra, dtype=old.dtype))))
         self._barg += shift
         self._lo += shift
         self._hi += shift
-        self._det_lo += shift  # F and the block state moved with their slots
         self._pos[self._order[self._lo : self._hi]] += shift
         self._point()
 
-    def _insert_head(self, vid: int) -> None:
-        """Place a brand-new vertex at the head of the sequence (§4.1).
+    def _insert_head(self, k: int) -> None:
+        """Place the ``k`` newest vertices at the head of the sequence (§4.1).
 
-        Its stored ``Δ`` is initialized to 0 exactly as in the paper.
-        This is load-bearing for correctness, not just convention: the
-        stored Δ of the frontier slot lower-bounds every pending
-        vertex's weight (Case 1 pops only below it), and 0 is the only
-        sound bound for a slot with no greedy history. The vertex is
-        always black, so its true weight is recovered on reorder.
+        They take the slots one-at-a-time head insertion leaves them in,
+        the last-seen first. Each stored ``Δ`` is initialized to 0 exactly
+        as in the paper. This is load-bearing for correctness, not just
+        convention: the stored Δ of the frontier slot lower-bounds every
+        pending vertex's weight (Case 1 pops only below it), and 0 is the
+        only sound bound for a slot with no greedy history. The vertices
+        are always black, so their true weights are recovered on reorder.
         """
-        self._ensure_front_gap(1)
-        self._lo -= 1
-        self._order[self._lo] = vid
-        self._delta[self._lo] = 0.0
-        self._pos[vid] = self._lo
+        self._ensure_front_gap(k)
+        n, lo = self.n_vertices, self._lo - k
+        self._lo = lo
+        self._order[lo : lo + k] = np.arange(n - 1, n - k - 1, -1)
+        self._delta[lo : lo + k] = 0.0
+        self._pos[n - k : n] = np.arange(lo + k - 1, lo - 1, -1)
 
     # ------------------------------------------------------------------
     # the incremental reorder (Algorithm 2; 𝒯 is the |ΔE|=1 case)
@@ -654,13 +646,18 @@ class SpadeEngine:
         if buffered and edges is not buffered:
             edges = buffered + list(edges)
         cs, new_a = self._weigh(edges, priors or {})
-        for ext, a in new_a.items():
-            self._insert_head(self._intern(ext, a))
+        k = len(new_a)
+        if k:
+            self._add_vertices(list(new_a), list(new_a.values()))
+            self._insert_head(k)
         vid_of = self._vid_of
         u = [vid_of[e[0]] for e in edges]
         v = [vid_of[e[1]] for e in edges]
         self._add_edges(u, v, cs)
-        fresh = self._refresh_detection(self._reorder(set(u).union(v)))
+        first, end = self._reorder(set(u).union(v))
+        if k:  # the head-inserted slots join the span
+            first, end = self._lo, max(end, self._lo + k)
+        fresh = self._refresh_detection((first, end))
         if buffered:
             self._benign_buffer = []
             self._buffered_in.clear()

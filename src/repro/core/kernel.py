@@ -58,14 +58,15 @@ those weights, and resumes the walk.
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
 split into blocks of ``B`` counted backward from ``hi``, so block ``b``
 holds the slots ``j`` with ``(hi - 1 - j) / B == b`` and its shortest
-suffix has ``b*B + 1`` vertices. ``F`` holds ``f(S_j)`` minus the offset
-``off`` of the slot's block; each block keeps ``bmax``/``barg``, its best
-``g`` and earliest best slot as of its last scan, and ``pend``, the
-offset added since that scan. One pass down the rewritten span's blocks
-re-accumulates ``F`` over the span and rescans those blocks; block ``bf``,
-which holds the span's first slot, is finished below it after the blocks
-ahead of the span take the shift. ``detect`` returns the id of the block
-holding the best slot.
+suffix has ``b*B + 1`` vertices. ``f(S_j)`` is ``F[j]`` plus the offset
+``off`` of the slot's block: the gain the block has had since it was
+last exact, when ``bmax``/``barg``, its best ``g`` and earliest best
+slot, were taken. The rewritten span widens to whole blocks, and one pass
+down them re-accumulates ``F`` and rescans each; the blocks ahead of the
+span take the change of ``f`` at its first slot as offset. A block is
+stale iff its offset is not 0; the query rescans a stale winner, adding
+its offset into ``F``. ``detect`` returns the id of the block holding the
+best slot.
 
 ``peel`` is the static greedy peel (Algorithm 1, see
 :func:`~repro.core.peel.peel_sequence`) over a CSR adjacency: a binary
@@ -94,7 +95,7 @@ enum { BLACK = 1, GRAY = 2, IN_T = 4 };
 
 typedef struct {
     int64_t *order, *pos, *barg;
-    double *delta, *F, *off, *pend, *bmax;
+    double *delta, *F, *off, *bmax;
     int64_t *rstart, *rlen, *rcap, *nbr, *mate, *in_deg;
     double *c, *a, *w0, *f_total;
     int64_t used, size;
@@ -130,26 +131,8 @@ static int64_t bottom(int64_t lo, int64_t hi, int64_t B, int64_t b)
     return j > lo ? j : lo;
 }
 
-/* Exact best g and earliest best slot of block b; clears its pending offset. */
-static void scan(const double *F, const double *off, double *pend, double *bmax,
-                 int64_t *barg, int64_t lo, int64_t hi, int64_t B, int64_t b)
-{
-    int64_t top = hi - b * B, j = bottom(lo, hi, B, b), arg = j;
-    double o = off[b], best = -INFINITY;
-    for (; j < top; j++) {
-        double g = (F[j] + o) / (double)(hi - j);
-        if (g > best) {
-            best = g;
-            arg = j;
-        }
-    }
-    bmax[b] = best;
-    barg[b] = arg;
-    pend[b] = 0.0;
-}
-
-/* Fold slot j into a block's best g so far. A scan that runs down the
-   slots keeps a tie, so the earliest best slot wins as in scan(). */
+/* Take slot j into a block's best g so far. A scan that runs down the
+   slots keeps a tie, so the earliest best slot wins. */
 static void keep(const double *F, int64_t hi, int64_t j, double *best, int64_t *arg)
 {
     double g = F[j] / (double)(hi - j);
@@ -160,18 +143,19 @@ static void keep(const double *F, int64_t hi, int64_t j, double *best, int64_t *
     }
 }
 
-/* Move block b's offset into its stored F outside [first, end). */
-static void fold(double *F, double *off, int64_t lo, int64_t hi, int64_t B,
-                 int64_t b, int64_t first, int64_t end)
+/* Make block b exact: add its offset into F and rescan it. */
+static void scan(double *F, double *off, double *bmax, int64_t *barg, int64_t lo,
+                 int64_t hi, int64_t B, int64_t b)
 {
-    int64_t top = hi - b * B, bot = bottom(lo, hi, B, b), j;
-    double o = off[b];
-    if (o == 0.0)
-        return;
-    for (j = bot; j < first && j < top; j++)
-        F[j] += o;
-    for (j = end > bot ? end : bot; j < top; j++)
-        F[j] += o;
+    int64_t bot = bottom(lo, hi, B, b), j, arg = bot;
+    double best = -INFINITY;
+
+    for (j = hi - b * B - 1; j >= bot; j--) {
+        F[j] += off[b];
+        keep(F, hi, j, &best, &arg);
+    }
+    bmax[b] = best;
+    barg[b] = arg;
     off[b] = 0.0;
 }
 
@@ -431,74 +415,60 @@ int64_t relax(spade_t *s, int64_t vmin, double h)
 
 int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, int64_t B)
 {
-    double *F = s->F, *off = s->off, *pend = s->pend, *bmax = s->bmax;
+    double *F = s->F, *off = s->off, *bmax = s->bmax;
     const double *delta = s->delta;
     int64_t *barg = s->barg;
     int64_t nb = (hi - lo + B - 1) / B;
-    int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, i, j;
-    double anchor = end < hi ? F[end] + off[(hi - 1 - end) / B] : 0.0;
-    double old = first > lo ? F[first] + off[bf] : 0.0, sum = 0.0;
+    int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, j;
+    double anchor, old, sum = 0.0;
 
-    /* 1. The span's blocks drop their offsets: the boundary blocks fold
-          theirs into the slots the span does not rewrite. */
-    fold(F, off, lo, hi, B, bf, first, end);
-    if (be != bf)
-        fold(F, off, lo, hi, B, be, first, end);
-    for (b = be + 1; b < bf; b++)
-        off[b] = 0.0;
+    /* The span widens to its blocks, be up to bf: [bottom(bf), hi - be*B). */
+    first = bottom(lo, hi, B, bf);
+    end = hi - be * B;
+    anchor = end < hi ? F[end] + off[be - 1] : 0.0;
+    old = first > lo ? F[first] + off[bf] : 0.0;
 
-    /* 2. One descending pass over the span's blocks, whose offsets are 0
-          by now, re-accumulates f(S_j) over [first, end), anchored at the
-          true F[end], and rescans each block: its slots from end up as
-          stored, the span as it is written, then in block bf the slots
-          below first once step 3 has shifted them. */
+    /* One descending pass re-accumulates f(S_j) over the span, anchored at
+       the true F[end], and rescans each of its blocks, now exact. */
     for (b = be; b <= bf; b++) {
         int64_t bot = bottom(lo, hi, B, b), arg = bot;
         double best = -INFINITY;
 
-        for (j = hi - b * B - 1; j >= bot && j >= end; j--)
-            keep(F, hi, j, &best, &arg);
-        for (; j >= bot && j >= first; j--) {
+        for (j = hi - b * B - 1; j >= bot; j--) {
             sum += delta[j];
             F[j] = sum + anchor;
             keep(F, hi, j, &best, &arg);
         }
-        /* 3. Slots ahead of the span shift by the change d of F[first]:
-              the rest of block bf directly, earlier blocks lazily. */
-        if (b == bf && first > lo && F[first] != old) {
-            double d = F[first] - old;
-
-            for (i = bot; i < first; i++)
-                F[i] += d;
-            for (i = bf + 1; i < nb; i++) {
-                off[i] += d;
-                pend[i] += d;
-            }
-        }
-        for (; j >= bot; j--)
-            keep(F, hi, j, &best, &arg);
         bmax[b] = best;
         barg[b] = arg;
-        pend[b] = 0.0;
+        off[b] = 0.0;
     }
 
-    /* Query: a block's g can exceed bmax by at most max(pend, 0) over its
+    /* Blocks ahead of the span shift by the change of F[first], lazily. */
+    if (first > lo) {
+        double d = F[first] - old;
+
+        for (b = bf + 1; b < nb; b++)
+            off[b] += d;
+    }
+
+    /* Query: a block's g can exceed bmax by at most max(off, 0) over its
        shortest suffix. Take the highest bound, ties to the earlier slots;
-       a stale winner is rescanned and the query repeats. */
+       a stale winner (off != 0) is rescanned and the query repeats. */
     for (;;) {
         int64_t top = 0;
         double bound = -INFINITY;
         for (b = 0; b < nb; b++) {
-            double u = bmax[b] + (pend[b] > 0.0 ? pend[b] : 0.0) / (double)(b * B + 1);
+            double u = bmax[b] + (off[b] > 0.0 ? off[b] : 0.0) / (double)(b * B + 1);
             u += 1e-12 * fabs(u);
             if (u >= bound) {
                 bound = u;
                 top = b;
             }
         }
-        if (pend[top] == 0.0)
+        if (off[top] == 0.0)
             return top;
-        scan(F, off, pend, bmax, barg, lo, hi, B, top);
+        scan(F, off, bmax, barg, lo, hi, B, top);
     }
 }
 

@@ -107,12 +107,12 @@ def engine_state(eng: SpadeEngine) -> tuple:
     this tells one engine's states apart, not two engines'
     (:func:`live_state` does that).
     """
-    arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._pend, eng._bmax,
-              eng._barg, eng._rstart, eng._rlen, eng._rcap, eng._nbr, eng._c, eng._mate,
-              eng._a, eng._w0, eng._in_deg, eng._color)
+    arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._bmax, eng._barg,
+              eng._rstart, eng._rlen, eng._rcap, eng._nbr, eng._c, eng._mate, eng._a,
+              eng._w0, eng._in_deg, eng._color)
     return (
         eng._ctx.used, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges, eng._lo, eng._hi,
-        eng._det_lo, eng.best_density, set(eng._community), list(eng._benign_buffer),
+        eng.best_density, set(eng._community), list(eng._benign_buffer),
         tuple(x.tobytes() for x in arrays),
     )
 
@@ -127,12 +127,12 @@ def live_state(eng: SpadeEngine) -> tuple:
     n, lo, hi, used = eng.n_vertices, eng._lo, eng._hi, eng._ctx.used
     live = [j for p, k in zip(eng._rstart[:n].tolist(), eng._rlen[:n].tolist())
             for j in range(p, p + k)]
-    arrays = (eng._order[lo:hi], eng._delta[lo:hi], eng._F[eng._det_lo : hi], eng._off,
-              eng._pend, eng._bmax, eng._barg, eng._pos[:n], eng._rstart[:n], eng._rlen[:n],
-              eng._rcap[:n], eng._nbr[live], eng._c[live], eng._mate[live], eng._a[:n],
+    arrays = (eng._order[lo:hi], eng._delta[lo:hi], eng._F[lo:hi], eng._off, eng._bmax,
+              eng._barg, eng._pos[:n], eng._rstart[:n], eng._rlen[:n], eng._rcap[:n],
+              eng._nbr[live], eng._c[live], eng._mate[live], eng._a[:n],
               eng._w0[:n], eng._in_deg[:n])
     return (
-        used, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges, lo, hi, eng._det_lo,
+        used, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges, lo, hi,
         eng.best_density.hex(), set(eng._community), list(eng._benign_buffer),
         tuple(x.tobytes() for x in arrays),
     )

@@ -1,11 +1,12 @@
 """Block-structured Detect against a full recompute.
 
-The engine keeps ``f(S_j)`` per slot minus a per-block lazy offset, and
-per block the best ``g`` and earliest best slot as of its last scan
-(``repro.core.kernel``). With blocks of 4 slots, small graphs span many
-blocks, so random streams of every update kind exercise the offsets,
-the boundary-block folds, the stale-block rescans of the query, head
-insertions into partial blocks and front-gap regrows.
+The engine keeps ``f(S_j)`` per slot minus a per-block lazy offset, the
+gain the block has had since it was last exact, and per block the best
+``g`` and earliest best slot as of then (``repro.core.kernel``). With
+blocks of 4 slots, small graphs span many blocks, so random streams of
+every update kind exercise the offsets, spans widened to whole blocks,
+the stale-block rescans of the query, head insertions into partial
+blocks and front-gap regrows.
 """
 import math
 
@@ -28,7 +29,7 @@ def assert_blocks_match_full(eng: SpadeEngine) -> None:
     ``assert_engine_valid`` checks that ``S^P`` is a suffix reaching the
     maximum and that every materialised ``g(S_j)`` is within 1e-9; this
     adds ``best_density`` and ``f(S_j)`` within 1e-9 and the exactness of
-    every block that gained no offset since its last scan.
+    every block without an offset.
     """
     assert_engine_valid(eng)
     lo, hi, B = eng._lo, eng._hi, eng._block
@@ -44,11 +45,11 @@ def assert_blocks_match_full(eng: SpadeEngine) -> None:
     F = eng._F[lo:hi] + eng._off[blocks]
     np.testing.assert_allclose(F, f, rtol=1e-9, atol=1e-9)
     for b in range(-(-n // B)):
-        if eng._pend[b] != 0.0:
+        if eng._off[b] != 0.0:
             continue
         top = hi - b * B
         bot = max(lo, top - B)
-        g_b = (eng._F[bot:top] + eng._off[b]) / (hi - np.arange(bot, top))
+        g_b = eng._F[bot:top] / (hi - np.arange(bot, top))
         assert eng._bmax[b] == g_b.max(), f"block {b} max is stale"
         assert eng._barg[b] == bot + int(np.argmax(g_b)), f"block {b} argmax"
 

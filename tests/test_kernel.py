@@ -199,9 +199,10 @@ def block_best(g, lo, hi, b):
 @st.composite
 def detect_cases(draw):
     """A Detect block state over ``[lo, hi)``, exact for the old Δ under its
-    offsets and pending offsets, the span ``[first, end)`` a reorder rewrote
-    and the span's new Δ. Integer Δs and offsets keep every ``f(S_j)``
-    exact, so equal densities are equal doubles: ties are real ties."""
+    offsets, the gain each block has had since it was last exact, the span
+    ``[first, end)`` a reorder rewrote and the span's new Δ. Integer Δs and
+    offsets keep every ``f(S_j)`` exact, so equal densities are equal
+    doubles: ties are real ties."""
     lo = draw(st.integers(0, 3))
     hi = lo + draw(st.integers(1, 22))
     first = draw(st.integers(lo, hi - 1))
@@ -211,39 +212,36 @@ def detect_cases(draw):
     old = draw(st.lists(small, min_size=hi - lo, max_size=hi - lo))
     new = draw(st.lists(small, min_size=end - first, max_size=end - first))
     off = draw(st.lists(st.integers(-5, 5).map(float), min_size=nb, max_size=nb))
-    pend = draw(st.lists(st.sampled_from([0.0, 0.0, -2.0, 1.0, 3.0]), min_size=nb,
-                         max_size=nb))
-    return lo, hi, first, end, old, new, off, pend
+    return lo, hi, first, end, old, new, off
 
 
 @settings(max_examples=400, deadline=None)
 @given(detect_cases())
 # a span from a block's bottom slot: only earlier blocks take the shift
-@example((0, 12, 4, 10, [1.0, 2.0, 0.0, 3.0] * 3, [3.0] * 6, [2.0, -1.0, 4.0],
-          [0.0, 1.0, 3.0]))
+@example((0, 12, 4, 10, [1.0, 2.0, 0.0, 3.0] * 3, [3.0] * 6, [2.0, -1.0, 4.0]))
 # a span that ends at hi, the anchor f = 0
-@example((1, 13, 5, 13, [2.0, 1.0, 0.0] * 4, [0.0, 1.0] * 4, [1.0, -3.0, 5.0],
-          [0.0, 0.0, -2.0]))
+@example((1, 13, 5, 13, [2.0, 1.0, 0.0] * 4, [0.0, 1.0] * 4, [1.0, -3.0, 5.0]))
 # a span inside one block, with slots of that block on both sides of it
-@example((1, 13, 6, 8, [0.0, 3.0, 1.0] * 4, [3.0, 3.0], [-2.0, 4.0, 1.0], [0.0, 3.0, 1.0]))
+@example((1, 13, 6, 8, [0.0, 3.0, 1.0] * 4, [3.0, 3.0], [-2.0, 4.0, 1.0]))
 # first == lo: every slot is re-accumulated from the span down
-@example((2, 11, 2, 7, [1.0] * 9, [2.0, 0.0, 3.0, 1.0, 1.0], [3.0, -5.0, 2.0],
-          [1.0, 0.0, 3.0]))
-# boundary blocks with nonzero offsets that the span splits
-@example((0, 16, 3, 10, [1.0, 0.0, 2.0, 3.0] * 4, [2.0] * 7, [5.0, -4.0, 3.0, -2.0],
-          [0.0, 3.0, 0.0, 1.0]))
+@example((2, 11, 2, 7, [1.0] * 9, [2.0, 0.0, 3.0, 1.0, 1.0], [3.0, -5.0, 2.0]))
+# boundary blocks with nonzero offsets, which the span takes whole
+@example((0, 16, 3, 10, [1.0, 0.0, 2.0, 3.0] * 4, [2.0] * 7, [5.0, -4.0, 3.0, -2.0]))
 # a Δ plateau: g = 2 on every slot, across every block boundary; the
 # earliest slot wins, also over stale blocks whose bound ties
-@example((0, 14, 5, 9, [2.0] * 14, [2.0] * 4, [1.0, -1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]))
-@example((3, 15, 7, 12, [2.0] * 12, [2.0] * 5, [0.0, 4.0, -3.0], [1.0, -2.0, 3.0]))
+@example((0, 14, 5, 9, [2.0] * 14, [2.0] * 4, [1.0, -1.0, 2.0, 0.0]))
+@example((3, 15, 7, 12, [2.0] * 12, [2.0] * 5, [0.0, 4.0, -3.0]))
+# block 2, ahead of the span, has a positive offset and wins on its
+# bound: the query rescans it, adding the offset into F
+@example((0, 12, 8, 10, [3.0] * 4 + [1.0] * 8, [2.0, 2.0], [0.0, 0.0, 3.0]))
 def test_detect_matches_full_recompute(case):
     """``detect`` after a span rewrite, with blocks of 4 slots counted back
     from ``hi``: ``F`` plus its block's offset is every slot's new
-    ``f(S_j)``, each block without a pending offset holds its exact best
-    and earliest best slot, and the block returned holds the sequence's
-    best slot, the earliest on a tie. Nothing outside ``[lo, hi)`` and its
-    blocks is written."""
-    lo, hi, first, end, old, new, off, pend = case
+    ``f(S_j)``, the span's blocks end exact with no offset, each block
+    without an offset holds its exact best and earliest best slot, and the
+    block returned holds the sequence's best slot, the earliest on a tie.
+    Nothing outside ``[lo, hi)`` and its blocks is written."""
+    lo, hi, first, end, old, new, off = case
     nb = len(off)
     slots = np.arange(lo, hi)
     blk = (hi - 1 - slots) // B
@@ -251,16 +249,15 @@ def test_detect_matches_full_recompute(case):
     delta[lo:hi] = old
     f_old = tail_sums(delta[lo:hi])
     off = np.array(off + [9.0])  # one block past nb, which detect must not touch
-    pend = np.array(pend + [9.0])
     F = np.full(hi + 2, 5.0)
     F[lo:hi] = f_old - off[blk]
     bmax, barg = np.full(nb + 1, 9.0), np.full(nb + 1, -9, dtype=np.int64)
-    for b in range(nb):  # as of each block's last scan, before pend was added
-        bmax[b], barg[b] = block_best((f_old - pend[blk]) / (hi - slots), lo, hi, b)
+    for b in range(nb):  # as of each block's last exact state, before off was gained
+        bmax[b], barg[b] = block_best(F[lo:hi] / (hi - slots), lo, hi, b)
     delta[first:end] = new
     f = tail_sums(delta[lo:hi])
     g = f / (hi - slots)
-    arrays = {"F": F, "delta": delta, "off": off, "pend": pend, "bmax": bmax, "barg": barg}
+    arrays = {"F": F, "delta": delta, "off": off, "bmax": bmax, "barg": barg}
     outside = [F[:lo].copy(), F[hi:].copy(), delta.copy()]
 
     b = kernel.lib.detect(kernel_state(arrays), lo, hi, first, end, B)
@@ -269,15 +266,15 @@ def test_detect_matches_full_recompute(case):
     assert (barg[b], bmax[b]) == (lo + int(np.argmax(g)), g.max())
     span_blocks = range((hi - end) // B, (hi - 1 - first) // B + 1)
     for k in range(nb):
-        assert k not in span_blocks or pend[k] == 0.0, f"span block {k} kept a pending offset"
-        if pend[k] == 0.0:
+        assert k not in span_blocks or off[k] == 0.0, f"span block {k} kept an offset"
+        if off[k] == 0.0:
             assert (bmax[k], barg[k]) == block_best(g, lo, hi, k), f"block {k}"
-        else:  # still a bound: g in block k exceeds bmax by at most pend / size
+        else:  # still a bound: g in block k exceeds bmax by at most off / size
             size = hi - slots[blk == k]
-            assert np.all(g[blk == k] <= bmax[k] + pend[k] / size + 1e-12), f"block {k}"
+            assert np.all(g[blk == k] <= bmax[k] + off[k] / size + 1e-12), f"block {k}"
     for got, want in zip([F[:lo], F[hi:], delta], outside):
         np.testing.assert_array_equal(got, want)
-    assert (off[nb], pend[nb], bmax[nb], barg[nb]) == (9.0, 9.0, 9.0, -9)
+    assert (off[nb], bmax[nb], barg[nb]) == (9.0, 9.0, -9)
 
 
 def dict_rows(eng, edges, adj):
@@ -473,8 +470,7 @@ def test_add_edges_matches_dict_oracle(case):
     and the next call resumes there."""
     n, rows, batch, w0, in_deg, f_total = case
     eng = SpadeEngine(DW)
-    for x in range(n):
-        eng._intern(x, 0.0)
+    eng._add_vertices(range(n), [0.0] * n)
     eng._w0[:n], eng._in_deg[:n], eng._f_total[0] = w0, in_deg, f_total
     eng._add_edges(*columns(rows))
     assert_pool_matches(eng, dict_apply(n, rows, w0, in_deg, f_total))
