@@ -36,14 +36,15 @@ is what makes per-edge maintenance orders of magnitude faster than a
 scratch peel.
 
 Emissions are written back in place as the frontier advances, and
-``Detect`` keeps ``f(S_j)`` per slot under per-block lazy offsets and
-each block's best ``g(S_j)``, so an update re-accumulates suffix weights
-and rescans only over the whole blocks its reorder rewrote (the
-compiled kernel in :mod:`repro.core.kernel`). That span update is the
-only way ``Detect`` is computed: a static peel enters as one span over
-every slot, head-inserted slots join their batch's span, a front-gap
-regrow carries the cached slots along with the sequence, and an empty
-batch rewrites an empty span.
+``Detect`` keeps ``f`` per suffix size under per-block lazy offsets and
+each block's best ``g``, so an update re-accumulates suffix weights and
+rescans only over the whole blocks its reorder rewrote (the compiled
+kernel in :mod:`repro.core.kernel`). That span update is the only way
+``Detect`` is computed: a static peel enters as one span over every
+slot, head-inserted slots join their batch's span (or are the span, when
+the reorder rewrote nothing), and an empty batch rewrites an empty span.
+A head insertion only adds longer suffixes, so a front-gap regrow moves
+the slot arrays alone.
 
 The graph is one row per vertex in a shared numpy pool (see
 :mod:`repro.core.kernel`): a row fills its room, then moves to the
@@ -60,9 +61,9 @@ a pop per emission), one kernel call per pop, plus work in C in proportion to th
 recovered, popped and relaxed vertices and to the slots the walk moves
 (the white-run scans, one ``memmove`` of ``O`` and ``Δ`` per run and
 the ``pos`` rewrite), plus ``O(span + BLOCK)`` for ``Detect``'s one pass
-down the rewritten span's whole blocks, which re-accumulates their
+over the rewritten span's whole blocks, which re-accumulates their
 suffix weights and rescans them, plus ``O(n / BLOCK)`` for ``Detect`` to
-shift the earlier blocks' offsets and pick the best block, plus one
+shift the longer suffixes' offsets and pick the best block, plus one
 ``O(BLOCK)`` rescan per stale block (offset not 0) whose bound still
 wins. Every edge, loaded or inserted, is applied by one kernel call per
 batch (``add_edges``), in ``O(min(deg u, deg v))`` per edge: it scans the
@@ -100,13 +101,18 @@ BLOCK = 256
 #: Per-vertex arrays, grown together by ``_reserve``, and the value a new
 #: vid's entry starts with: its absolute slot, its row in the pool, its
 #: suspiciousness ``a_i``, ``w_v(S_0)`` (``a_v`` plus its incident weight),
-#: its in-degree (FD's object degree), the reorder's colour byte, and the
-#: walk's scratch space (see :mod:`repro.core.kernel`).
+#: its in-degree (FD's object degree), the reorder's colour byte, the
+#: walk's scratch space (see :mod:`repro.core.kernel`), and ``Detect``'s
+#: ``F``, one entry per suffix size instead (see ``_refresh_detection``).
 _VERTEX = (("_pos", np.int64, -1), ("_rstart", np.int64, 0), ("_rlen", np.int64, 0),
            ("_rcap", np.int64, 0), ("_a", np.float64, 0.0), ("_w0", np.float64, 0.0),
            ("_in_deg", np.int64, 0), ("_color", np.uint8, 0),
            ("_tw", np.float64, 0.0), ("_pv", np.int64, 0),
-           ("_black", np.int64, 0), ("_touched", np.int64, 0))
+           ("_black", np.int64, 0), ("_touched", np.int64, 0), ("_F", np.float64, 0.0))
+
+#: ``Detect``'s block arrays, one entry per ``BLOCK`` vertices, grown with
+#: the vertex arrays.
+_BLOCKS = (("_off", np.float64, 0.0), ("_bmax", np.float64, 0.0), ("_barg", np.int64, 0))
 
 #: The kernel state's array fields; each points at the engine attribute of
 #: the same name with a leading underscore.
@@ -145,7 +151,7 @@ class SpadeEngine:
         self._nbr = np.empty(0, dtype=np.int64)
         self._c = np.empty(0, dtype=np.float64)
         self._mate = np.empty(0, dtype=np.int64)
-        for name, dtype, _ in _VERTEX:
+        for name, dtype, _ in _VERTEX + _BLOCKS:
             setattr(self, name, np.empty(0, dtype=dtype))
         self._f_total = np.zeros(1)  # f(S_0), which the kernel adds to
         self._n_edges = 0
@@ -155,17 +161,9 @@ class SpadeEngine:
         self._lo = 0
         self._hi = 0
         # --- detection state ----------------------------------------------
-        # _F is aligned with the backing arrays and valid on [_lo, _hi).
-        # Block b holds the slots j with (_hi - 1 - j) // _block == b, so
-        # block ids survive head insertions and front-gap regrows; then
-        # f(S_j) = _F[j] + _off[b], where _off[b] is the gain block b has
-        # had since it was last exact, and _bmax[b]/_barg[b] are its best
-        # g(S_j) and earliest best slot as of then (see repro.core.kernel).
+        # _F and the block arrays above are indexed by suffix size, in
+        # blocks of _block suffixes (see _refresh_detection).
         self._block = BLOCK
-        self._F = np.empty(0, dtype=np.float64)
-        self._off = np.zeros(0, dtype=np.float64)
-        self._bmax = np.zeros(0, dtype=np.float64)
-        self._barg = np.zeros(0, dtype=np.int64)
         self._best_g = 0.0
         self._community: Set[int] = set()
         # --- edge grouping -------------------------------------------------
@@ -178,8 +176,8 @@ class SpadeEngine:
     def _point(self) -> None:
         """Point the kernel state at the engine's arrays.
 
-        Called whenever one of them is reallocated: the vertex arrays,
-        the pool, or the slot and block arrays.
+        Called whenever one of them is reallocated: the vertex and block
+        arrays, the pool, or the slot arrays.
         """
         s, fb = self._ctx, ffi.from_buffer
         for name, ctype in _POINTERS:
@@ -323,17 +321,19 @@ class SpadeEngine:
         self._f_total[0] = f_total
 
     def _reserve(self, n: int) -> None:
-        """Grow the vertex arrays (doubling, from 64) to hold vids below ``n``."""
+        """Grow the vertex arrays (doubling, from 64) to hold vids below ``n``,
+        and the block arrays with them."""
         size = len(self._pos)
         if n <= size:
             return
         while size < n:
             size = max(64, 2 * size)
-        for name, dtype, fill in _VERTEX:
-            old = getattr(self, name)
-            grown = np.full(size, fill, dtype=dtype)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
+        for arrays, length in ((_VERTEX, size), (_BLOCKS, -(-size // self._block))):
+            for name, dtype, fill in arrays:
+                old = getattr(self, name)
+                grown = np.full(length, fill, dtype=dtype)
+                grown[: len(old)] = old
+                setattr(self, name, grown)
         self._point()
 
     def _grow_pool(self, size: int) -> None:
@@ -472,11 +472,6 @@ class SpadeEngine:
         self._order[pad:] = order
         self._delta = np.empty(pad + n, dtype=np.float64)
         self._delta[pad:] = delta
-        self._F = np.empty(pad + n, dtype=np.float64)
-        n_blocks = -(-(pad + n) // self._block)
-        self._off = np.zeros(n_blocks, dtype=np.float64)
-        self._bmax = np.zeros(n_blocks, dtype=np.float64)
-        self._barg = np.zeros(n_blocks, dtype=np.int64)
         self._lo = pad
         self._hi = pad + n
         self._pos[self._order[pad:]] = np.arange(pad, pad + n, dtype=np.int64)
@@ -491,14 +486,21 @@ class SpadeEngine:
 
         ``span = (first, end)`` is the slot range whose ``Δ`` changed:
         the reorder's rewritten span joined with any head-inserted slots,
-        or the whole sequence after a static peel. ``f(S_j)`` is the sum
-        of ``Δ`` from slot ``j`` to ``_hi``, so slots past the span keep
-        ``F``, and slots ahead of it keep their ``Δ`` and shift ``F`` by
-        one constant, the change of ``F[first]``. The span's blocks are
-        re-accumulated and rescanned whole; the blocks ahead of them take
-        the shift as a lazy offset, and such a stale block is rescanned
-        only if its bound could still win. An empty span leaves the state
-        and ``S^P`` as they stand. The earliest slot wins a tie, as in
+        or the whole sequence after a static peel. The state is indexed by
+        suffix size: ``r`` is the suffix of ``r + 1`` vertices ending at
+        the tail, from slot ``_hi - 1 - r``, so ``f = _F[r] + _off[r //
+        _block]`` and ``g = f / (r + 1)``. ``_off[b]`` is the gain block
+        ``b`` has had since it was last exact, and ``_bmax[b]``/``_barg[b]``
+        its best ``g`` and longest best suffix as of then. A head insertion
+        only adds longer suffixes, so no index moves when the sequence
+        grows at the head or its front gap regrows. Suffixes shorter than
+        the span keep ``F``, and longer ones keep their ``Δ`` and shift
+        ``f`` by one constant, the change of ``f`` at the span's longest
+        suffix. The span's blocks are re-accumulated and rescanned whole;
+        the longer suffixes' blocks take the shift as a lazy offset, and
+        such a stale block is rescanned only if its bound could still win.
+        An empty span leaves the state and ``S^P`` as they stand. The
+        longest suffix, the earliest slot, wins a tie, as in
         :func:`~repro.core.peel.best_community`; ``S^P`` is rebuilt only
         when the winning suffix could have changed.
         """
@@ -507,7 +509,7 @@ class SpadeEngine:
         if first >= end:
             return set()  # no slot rewritten (always so for an empty sequence)
         b = lib.detect(self._ctx, lo, hi, first, end, self._block)
-        best = int(self._barg[b])
+        best = hi - 1 - int(self._barg[b])
         self._best_g = float(self._bmax[b])
         if hi - best == len(self._community) and end <= best:
             return set()  # same size, and the reorder wrote only before it
@@ -522,30 +524,23 @@ class SpadeEngine:
 
     def _suffix_densities(self) -> np.ndarray:
         """``g(S_j)`` of every slot, materialised from the block state."""
-        lo, hi = self._lo, self._hi
-        slots = np.arange(lo, hi)
-        return (self._F[lo:hi] + self._off[(hi - 1 - slots) // self._block]) / (hi - slots)
+        r = np.arange(self._hi - self._lo)[::-1]  # slot _lo + i starts suffix n - 1 - i
+        return (self._F[r] + self._off[r // self._block]) / (r + 1)
 
     # ------------------------------------------------------------------
     # front-gap management for head insertions of new vertices
     # ------------------------------------------------------------------
     def _ensure_front_gap(self, m: int) -> None:
+        """Make room for ``m`` slots ahead of ``_lo``, moving the sequence back."""
         if self._lo >= m:
             return
         pad = max(64, m, (self._hi - self._lo) // 4)
         shift = pad - self._lo + m
-        for name in ("_order", "_delta", "_F"):
+        for name in ("_order", "_delta"):
             old = getattr(self, name)
             grown = np.empty(len(old) + shift, dtype=old.dtype)
             grown[shift:] = old
             setattr(self, name, grown)
-        # Block ids count back from _hi, so existing blocks keep theirs and
-        # the new ones, all ahead of the sequence, start without offsets.
-        extra = -(-len(self._order) // self._block) - len(self._off)
-        for name in ("_off", "_bmax", "_barg"):
-            old = getattr(self, name)
-            setattr(self, name, np.concatenate((old, np.zeros(extra, dtype=old.dtype))))
-        self._barg += shift
         self._lo += shift
         self._hi += shift
         self._pos[self._order[self._lo : self._hi]] += shift
@@ -655,8 +650,9 @@ class SpadeEngine:
         v = [vid_of[e[1]] for e in edges]
         self._add_edges(u, v, cs)
         first, end = self._reorder(set(u).union(v))
-        if k:  # the head-inserted slots join the span
-            first, end = self._lo, max(end, self._lo + k)
+        if k:  # the head-inserted slots join the span, or are the span
+            end = max(end, self._lo + k) if first < end else self._lo + k
+            first = self._lo
         fresh = self._refresh_detection((first, end))
         if buffered:
             self._benign_buffer = []

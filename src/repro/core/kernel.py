@@ -55,18 +55,19 @@ least of ``h`` (the caller's heap head once ``vmin`` is off it) and
 those weights, and resumes the walk.
 
 ``detect`` is the engine's ``Detect`` update (see
-:meth:`~repro.core.engine.SpadeEngine._refresh_detection`): the slots are
-split into blocks of ``B`` counted backward from ``hi``, so block ``b``
-holds the slots ``j`` with ``(hi - 1 - j) / B == b`` and its shortest
-suffix has ``b*B + 1`` vertices. ``f(S_j)`` is ``F[j]`` plus the offset
-``off`` of the slot's block: the gain the block has had since it was
-last exact, when ``bmax``/``barg``, its best ``g`` and earliest best
-slot, were taken. The rewritten span widens to whole blocks, and one pass
-down them re-accumulates ``F`` and rescans each; the blocks ahead of the
-span take the change of ``f`` at its first slot as offset. A block is
-stale iff its offset is not 0; the query rescans a stale winner, adding
-its offset into ``F``. ``detect`` returns the id of the block holding the
-best slot.
+:meth:`~repro.core.engine.SpadeEngine._refresh_detection`). Its state is
+indexed by suffix size: ``r`` is the suffix of ``r + 1`` vertices ending
+at slot ``hi - 1``, whose first slot is ``hi - 1 - r``, and block ``b``
+holds the suffixes ``b*B .. b*B + B - 1``. ``f`` of suffix ``r`` is
+``F[r]`` plus the offset ``off`` of its block: the gain the block has had
+since it was last exact, when ``bmax``/``barg``, its best ``g`` and longest
+best suffix, were taken. ``detect`` turns the rewritten slot span into
+suffixes once, at entry, and reads ``delta`` backward from ``hi - 1``. The
+span widens to whole blocks, and one pass up them re-accumulates ``F``
+and rescans each; the longer suffixes' blocks take the change of ``f`` at
+the span's longest suffix as offset. A block is stale iff its offset is
+not 0; the query rescans a stale winner, adding its offset into ``F``.
+``detect`` returns the id of the block holding the best suffix.
 
 ``peel`` is the static greedy peel (Algorithm 1, see
 :func:`~repro.core.peel.peel_sequence`) over a CSR adjacency: a binary
@@ -124,35 +125,28 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 """ + STRUCT + r"""
-/* First slot of block b: its range is [bottom, hi - b*B). */
-static int64_t bottom(int64_t lo, int64_t hi, int64_t B, int64_t b)
+/* Take suffix r into a block's best g so far. A scan that runs up the
+   suffixes keeps a tie, so the longest best suffix wins. */
+static void keep(const double *F, int64_t r, double *best, int64_t *arg)
 {
-    int64_t j = hi - (b + 1) * B;
-    return j > lo ? j : lo;
-}
-
-/* Take slot j into a block's best g so far. A scan that runs down the
-   slots keeps a tie, so the earliest best slot wins. */
-static void keep(const double *F, int64_t hi, int64_t j, double *best, int64_t *arg)
-{
-    double g = F[j] / (double)(hi - j);
+    double g = F[r] / (double)(r + 1);
 
     if (g >= *best) {
         *best = g;
-        *arg = j;
+        *arg = r;
     }
 }
 
-/* Make block b exact: add its offset into F and rescan it. */
-static void scan(double *F, double *off, double *bmax, int64_t *barg, int64_t lo,
-                 int64_t hi, int64_t B, int64_t b)
+/* Make block b of the n suffixes exact: add its offset into F and rescan it. */
+static void scan(double *F, double *off, double *bmax, int64_t *barg, int64_t n, int64_t B,
+                 int64_t b)
 {
-    int64_t bot = bottom(lo, hi, B, b), j, arg = bot;
+    int64_t r, arg = b * B;
     double best = -INFINITY;
 
-    for (j = hi - b * B - 1; j >= bot; j--) {
-        F[j] += off[b];
-        keep(F, hi, j, &best, &arg);
+    for (r = b * B; r < (b + 1) * B && r < n; r++) {
+        F[r] += off[b];
+        keep(F, r, &best, &arg);
     }
     bmax[b] = best;
     barg[b] = arg;
@@ -416,51 +410,55 @@ int64_t relax(spade_t *s, int64_t vmin, double h)
 int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, int64_t B)
 {
     double *F = s->F, *off = s->off, *bmax = s->bmax;
-    const double *delta = s->delta;
+    const double *d = s->delta + hi - 1; /* d[-r]: delta of suffix r's first slot */
     int64_t *barg = s->barg;
-    int64_t nb = (hi - lo + B - 1) / B;
-    int64_t bf = (hi - 1 - first) / B, be = (hi - end) / B, b, j;
+    int64_t n = hi - lo, nb = (n + B - 1) / B;
+    int64_t be = (hi - end) / B, bf = (hi - 1 - first) / B, b, r;
+    int64_t last = ((bf + 1) * B < n ? (bf + 1) * B : n) - 1;
     double anchor, old, sum = 0.0;
 
-    /* The span widens to its blocks, be up to bf: [bottom(bf), hi - be*B). */
-    first = bottom(lo, hi, B, bf);
-    end = hi - be * B;
-    anchor = end < hi ? F[end] + off[be - 1] : 0.0;
-    old = first > lo ? F[first] + off[bf] : 0.0;
+    /* The slots [first, end) are the suffixes hi - end .. hi - 1 - first;
+       they widen to their blocks, be up to bf: be*B .. last. */
+    anchor = be ? F[be * B - 1] + off[be - 1] : 0.0;
+    old = last < n - 1 ? F[last] + off[bf] : 0.0;
 
-    /* One descending pass re-accumulates f(S_j) over the span, anchored at
-       the true F[end], and rescans each of its blocks, now exact. */
+    /* One ascending pass re-accumulates f over the span, anchored at the
+       true f of the suffix below it, and rescans each of its blocks, now
+       exact. */
     for (b = be; b <= bf; b++) {
-        int64_t bot = bottom(lo, hi, B, b), arg = bot;
+        int64_t arg = b * B;
         double best = -INFINITY;
 
-        for (j = hi - b * B - 1; j >= bot; j--) {
-            sum += delta[j];
-            F[j] = sum + anchor;
-            keep(F, hi, j, &best, &arg);
+        for (r = b * B; r < (b + 1) * B && r < n; r++) {
+            sum += d[-r];
+            F[r] = sum + anchor;
+            keep(F, r, &best, &arg);
         }
         bmax[b] = best;
         barg[b] = arg;
         off[b] = 0.0;
     }
 
-    /* Blocks ahead of the span shift by the change of F[first], lazily. */
-    if (first > lo) {
-        double d = F[first] - old;
+    /* The longer suffixes' blocks shift by the change of F[last], lazily. */
+    if (last < n - 1) {
+        double shift = F[last] - old;
 
         for (b = bf + 1; b < nb; b++)
-            off[b] += d;
+            off[b] += shift;
     }
 
     /* Query: a block's g can exceed bmax by at most max(off, 0) over its
-       shortest suffix. Take the highest bound, ties to the earlier slots;
-       a stale winner (off != 0) is rescanned and the query repeats. */
+       shortest suffix. Take the highest bound, ties to the longer suffixes;
+       a stale winner (off != 0) is rescanned and the query repeats. Only a
+       stale bound is inflated against rounding: an exact block's bound is
+       its g, and a stale block that ties it must not lose on rounding. */
     for (;;) {
         int64_t top = 0;
         double bound = -INFINITY;
         for (b = 0; b < nb; b++) {
             double u = bmax[b] + (off[b] > 0.0 ? off[b] : 0.0) / (double)(b * B + 1);
-            u += 1e-12 * fabs(u);
+            if (off[b] != 0.0)
+                u += 1e-12 * fabs(u);
             if (u >= bound) {
                 bound = u;
                 top = b;
@@ -468,7 +466,7 @@ int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, i
         }
         if (off[top] == 0.0)
             return top;
-        scan(F, off, bmax, barg, lo, hi, B, top);
+        scan(F, off, bmax, barg, n, B, top);
     }
 }
 

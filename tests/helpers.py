@@ -65,7 +65,7 @@ def heapq_peel_sequence(
 
 def assert_engine_valid(eng: SpadeEngine) -> None:
     """The engine's maintained sequence is a valid greedy peel and its
-    detection state, including the cached per-slot densities ``G``, is
+    detection state, including every suffix density ``G`` it caches, is
     consistent with that sequence.
 
     The community check asserts the detected suffix *achieves* the
@@ -122,12 +122,13 @@ def live_state(eng: SpadeEngine) -> tuple:
     the allocator left, so two engines with the same history compare equal.
 
     The graph is each row's place, room, neighbours, weights and mates, and
-    the pool's fill; the sequence and ``Detect`` are their live slots.
+    the pool's fill; the sequence is its live slots and ``F`` its ``n``
+    suffixes.
     """
     n, lo, hi, used = eng.n_vertices, eng._lo, eng._hi, eng._ctx.used
     live = [j for p, k in zip(eng._rstart[:n].tolist(), eng._rlen[:n].tolist())
             for j in range(p, p + k)]
-    arrays = (eng._order[lo:hi], eng._delta[lo:hi], eng._F[lo:hi], eng._off, eng._bmax,
+    arrays = (eng._order[lo:hi], eng._delta[lo:hi], eng._F[:n], eng._off, eng._bmax,
               eng._barg, eng._pos[:n], eng._rstart[:n], eng._rlen[:n], eng._rcap[:n],
               eng._nbr[live], eng._c[live], eng._mate[live], eng._a[:n],
               eng._w0[:n], eng._in_deg[:n])

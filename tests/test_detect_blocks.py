@@ -1,9 +1,9 @@
 """Block-structured Detect against a full recompute.
 
-The engine keeps ``f(S_j)`` per slot minus a per-block lazy offset, the
+The engine keeps ``f`` per suffix size minus a per-block lazy offset, the
 gain the block has had since it was last exact, and per block the best
-``g`` and earliest best slot as of then (``repro.core.kernel``). With
-blocks of 4 slots, small graphs span many blocks, so random streams of
+``g`` and longest best suffix as of then (``repro.core.kernel``). With
+blocks of 4 suffixes, small graphs span many blocks, so random streams of
 every update kind exercise the offsets, spans widened to whole blocks,
 the stale-block rescans of the query, head insertions into partial
 blocks and front-gap regrows.
@@ -28,8 +28,10 @@ def assert_blocks_match_full(eng: SpadeEngine) -> None:
 
     ``assert_engine_valid`` checks that ``S^P`` is a suffix reaching the
     maximum and that every materialised ``g(S_j)`` is within 1e-9; this
-    adds ``best_density`` and ``f(S_j)`` within 1e-9 and the exactness of
-    every block without an offset.
+    adds ``best_density`` and ``f`` of every suffix within 1e-9 and the
+    exactness of every block without an offset. ``r`` is the suffix of
+    ``r + 1`` vertices ending at the tail, and block ``b`` holds the
+    suffixes ``b*B .. b*B + B - 1``.
     """
     assert_engine_valid(eng)
     lo, hi, B = eng._lo, eng._hi, eng._block
@@ -40,18 +42,17 @@ def assert_blocks_match_full(eng: SpadeEngine) -> None:
     _, g = best_community(order, d, eng.f_total)
     assert eng.best_density == pytest.approx(g, rel=1e-9, abs=1e-9)
     f = eng.f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
-    slots = np.arange(lo, hi)
-    blocks = (hi - 1 - slots) // B
-    F = eng._F[lo:hi] + eng._off[blocks]
-    np.testing.assert_allclose(F, f, rtol=1e-9, atol=1e-9)
+    r = np.arange(n)
+    F = eng._F[:n] + eng._off[r // B]
+    np.testing.assert_allclose(F, f[::-1], rtol=1e-9, atol=1e-9)
+    G = eng._suffix_densities()[::-1]  # by suffix
     for b in range(-(-n // B)):
         if eng._off[b] != 0.0:
             continue
-        top = hi - b * B
-        bot = max(lo, top - B)
-        g_b = eng._F[bot:top] / (hi - np.arange(bot, top))
+        g_b = G[b * B : (b + 1) * B]
         assert eng._bmax[b] == g_b.max(), f"block {b} max is stale"
-        assert eng._barg[b] == bot + int(np.argmax(g_b)), f"block {b} argmax"
+        longest = len(g_b) - 1 - int(np.argmax(g_b[::-1]))
+        assert eng._barg[b] == b * B + longest, f"block {b} argmax"
 
 
 amounts = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 20.0))

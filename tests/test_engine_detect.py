@@ -1,7 +1,7 @@
 """Incremental Detect and atomic updates.
 
-The engine caches ``f(S_j)``/``g(S_j)`` per slot and re-accumulates only
-the span a reorder rewrote. These tests pin that bookkeeping against a
+The engine caches ``f``/``g`` per suffix size and re-accumulates only
+the suffixes a reorder rewrote. These tests pin that bookkeeping against a
 full recompute on every invalidation path, check that long streams do
 not drift from a scratch tail sum of ``Δ``, and check that a rejected
 batch leaves every piece of state untouched.
@@ -18,8 +18,8 @@ from tests.helpers import assert_engine_valid, engine_state, random_edges
 
 
 def assert_detect_matches_full(eng: SpadeEngine) -> None:
-    """``best_density``, ``S^P`` and the cached ``G[lo:hi]`` equal a full
-    recompute over the maintained sequence.
+    """``best_density``, ``S^P`` and every cached suffix density equal a
+    full recompute over the maintained sequence.
 
     The tolerance is the validator's: a stored Δ may sit up to 1e-9 below
     its vertex's true weight (an in-place emission), so ``f`` summed from
@@ -94,6 +94,41 @@ class TestSpanBookkeeping:
             assert first >= end
         assert_detect_matches_full(eng)
         eng.insert_edge("new3", "v1", amount)
+        assert_detect_matches_full(eng)
+
+    def test_in_place_new_vertices_rewrite_only_their_slots(self):
+        """Two new vertices joined by a negligible edge are emitted in
+        place, so Detect is handed their two head slots, not the whole
+        sequence."""
+        eng = SpadeEngine(DW, vertex_prior=0)
+        eng.bulk_load(random_edges(2, n=8, m=20, continuous=True))
+        spans = []
+        refresh = eng._refresh_detection
+
+        def spy(span):
+            spans.append(span)
+            return refresh(span)
+
+        eng._refresh_detection = spy
+        eng.insert_edge("new1", "new2", 1e-10)
+        (first, end), = spans
+        assert (first, end) == (eng._lo, eng._lo + 2)
+        assert_engine_valid(eng)
+
+    def test_front_gap_regrow_leaves_detect_untouched(self):
+        """Detect is indexed by suffix size, so a regrow that moves every
+        slot neither reallocates nor rewrites it."""
+        eng = _loaded()
+        detect = [eng._F, eng._off, eng._bmax, eng._barg]
+        before = [x.tobytes() for x in detect]
+        g = eng._suffix_densities()
+        backing = len(eng._order)
+        eng._ensure_front_gap(eng._lo + 1)
+        assert len(eng._order) > backing, "the front gap did not regrow"
+        after = [eng._F, eng._off, eng._bmax, eng._barg]
+        assert all(x is y for x, y in zip(after, detect))
+        assert [x.tobytes() for x in after] == before
+        np.testing.assert_array_equal(eng._suffix_densities(), g)
         assert_detect_matches_full(eng)
 
     def test_bulk_load_then_insert_batch(self):

@@ -189,17 +189,18 @@ def tail_sums(delta):
     return np.cumsum(delta[::-1])[::-1]
 
 
-def block_best(g, lo, hi, b):
-    """Best ``g`` of block ``b`` over ``[lo, hi)`` and its earliest slot."""
-    bot, top = max(lo, hi - (b + 1) * B), hi - b * B
-    i = int(np.argmax(g[bot - lo : top - lo]))
-    return g[bot - lo + i], bot + i
+def block_best(g, b):
+    """Best of block ``b`` of ``g``, indexed by suffix, and its longest best
+    suffix (the earliest slot)."""
+    block = g[b * B : (b + 1) * B]
+    i = len(block) - 1 - int(np.argmax(block[::-1]))
+    return block[i], b * B + i
 
 
 @st.composite
 def detect_cases(draw):
-    """A Detect block state over ``[lo, hi)``, exact for the old Δ under its
-    offsets, the gain each block has had since it was last exact, the span
+    """A Detect block state for the slots ``[lo, hi)``, exact for the old Δ
+    under its offsets, the gain each block has had since it was last exact, the span
     ``[first, end)`` a reorder rewrote and the span's new Δ. Integer Δs and
     offsets keep every ``f(S_j)`` exact, so equal densities are equal
     doubles: ties are real ties."""
@@ -234,45 +235,50 @@ def detect_cases(draw):
 # block 2, ahead of the span, has a positive offset and wins on its
 # bound: the query rescans it, adding the offset into F
 @example((0, 12, 8, 10, [3.0] * 4 + [1.0] * 8, [2.0, 2.0], [0.0, 0.0, 3.0]))
+# block 2 is stale and ties exact block 1 (g = 15/9 = 10/6), but its bound
+# 12/9 + 3/9 rounds below 10/6: the tie must still go to the earlier slot
+@example((2, 11, 8, 9, [2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 0.0, 1.0, 1.0], [3.0], [0.0, 0.0, 0.0]))
 def test_detect_matches_full_recompute(case):
-    """``detect`` after a span rewrite, with blocks of 4 slots counted back
-    from ``hi``: ``F`` plus its block's offset is every slot's new
-    ``f(S_j)``, the span's blocks end exact with no offset, each block
-    without an offset holds its exact best and earliest best slot, and the
-    block returned holds the sequence's best slot, the earliest on a tie.
-    Nothing outside ``[lo, hi)`` and its blocks is written."""
+    """``detect`` after a span rewrite, with ``F`` and the blocks indexed by
+    suffix: ``r`` is the suffix of ``r + 1`` slots ending at ``hi``, and
+    block ``b`` holds the suffixes ``b*4 .. b*4 + 3``. ``F`` plus its
+    block's offset is every suffix's new ``f``, the span's blocks end exact
+    with no offset, each block without an offset holds its exact best and
+    longest best suffix, and the block returned holds the sequence's best
+    slot, the earliest on a tie. Nothing past the ``n`` suffixes and their
+    blocks is written, and ``delta`` is only read."""
     lo, hi, first, end, old, new, off = case
-    nb = len(off)
-    slots = np.arange(lo, hi)
-    blk = (hi - 1 - slots) // B
+    n, nb = hi - lo, len(off)
+    r = np.arange(n)
+    blk = r // B
     delta = np.full(hi + 2, 7.0)
     delta[lo:hi] = old
-    f_old = tail_sums(delta[lo:hi])
+    f_old = tail_sums(delta[lo:hi])[::-1]
     off = np.array(off + [9.0])  # one block past nb, which detect must not touch
-    F = np.full(hi + 2, 5.0)
-    F[lo:hi] = f_old - off[blk]
+    F = np.full(n + 2, 5.0)
+    F[:n] = f_old - off[blk]
     bmax, barg = np.full(nb + 1, 9.0), np.full(nb + 1, -9, dtype=np.int64)
     for b in range(nb):  # as of each block's last exact state, before off was gained
-        bmax[b], barg[b] = block_best(F[lo:hi] / (hi - slots), lo, hi, b)
+        bmax[b], barg[b] = block_best(F[:n] / (r + 1), b)
     delta[first:end] = new
-    f = tail_sums(delta[lo:hi])
-    g = f / (hi - slots)
+    f = tail_sums(delta[lo:hi])[::-1]
+    g = f / (r + 1)
     arrays = {"F": F, "delta": delta, "off": off, "bmax": bmax, "barg": barg}
-    outside = [F[:lo].copy(), F[hi:].copy(), delta.copy()]
+    outside = [F[n:].copy(), delta.copy()]
 
     b = kernel.lib.detect(kernel_state(arrays), lo, hi, first, end, B)
 
-    np.testing.assert_array_equal(F[lo:hi] + off[blk], f)
-    assert (barg[b], bmax[b]) == (lo + int(np.argmax(g)), g.max())
+    np.testing.assert_array_equal(F[:n] + off[blk], f)
+    assert (hi - 1 - barg[b], bmax[b]) == (lo + int(np.argmax(g[::-1])), g.max())
     span_blocks = range((hi - end) // B, (hi - 1 - first) // B + 1)
     for k in range(nb):
         assert k not in span_blocks or off[k] == 0.0, f"span block {k} kept an offset"
         if off[k] == 0.0:
-            assert (bmax[k], barg[k]) == block_best(g, lo, hi, k), f"block {k}"
+            assert (bmax[k], barg[k]) == block_best(g, k), f"block {k}"
         else:  # still a bound: g in block k exceeds bmax by at most off / size
-            size = hi - slots[blk == k]
+            size = r[blk == k] + 1
             assert np.all(g[blk == k] <= bmax[k] + off[k] / size + 1e-12), f"block {k}"
-    for got, want in zip([F[:lo], F[hi:], delta], outside):
+    for got, want in zip([F[n:], delta], outside):
         np.testing.assert_array_equal(got, want)
     assert (off[nb], bmax[nb], barg[nb]) == (9.0, 9.0, -9)
 
