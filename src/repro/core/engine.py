@@ -39,7 +39,9 @@ Emissions are written back in place as the frontier advances, and
 ``Detect`` keeps ``f`` per suffix size under per-block lazy offsets and
 each block's best ``g``, so an update re-accumulates suffix weights and
 rescans only over the whole blocks its reorder rewrote (the compiled
-kernel in :mod:`repro.core.kernel`). That span update is the only way
+kernel in :mod:`repro.core.kernel`), and only over the suffixes short
+enough to win: none of more than ``f(S_0) / g(S^P)`` vertices can, since
+every ``Δ`` is >= 0. That span update is the only way
 ``Detect`` is computed: a static peel enters as one span over every
 slot, head-inserted slots join their batch's span (or are the span, when
 the reorder rewrote nothing), and an empty batch rewrites an empty span.
@@ -61,13 +63,18 @@ a pop per emission), one kernel call per pop, plus work in C in proportion to th
 recovered, popped and relaxed vertices and to the slots the walk moves
 (the white-run scans, one ``memmove`` of ``O`` and ``Δ`` per run and
 the ``pos`` rewrite), plus ``O(span + BLOCK)`` for ``Detect``'s one pass
-over the rewritten span's whole blocks, which re-accumulates their
-suffix weights and rescans them, plus ``O(n / BLOCK)`` for ``Detect`` to
-shift the longer suffixes' offsets and pick the best block, plus one
-``O(BLOCK)`` rescan per stale block (offset not 0) whose bound still
-wins. Every edge, loaded or inserted, is applied by one kernel call per
-batch (``add_edges``), in ``O(min(deg u, deg v))`` per edge: it scans the
-shorter endpoint row for a parallel edge and reaches the twin entry in
+over the rewritten span's whole blocks below its window ``D``, which
+re-accumulates their suffix weights and rescans them, plus ``O(D)`` for
+``Detect`` to shift the longer kept suffixes' offsets and pick the best
+block, plus one ``O(BLOCK)`` pass per stale block (offset not 0) whose
+bound still wins and per block the window grows by. The window holds the
+blocks of the suffixes of at most ``f(S_0) / g(S^P)`` vertices (6 of 182
+blocks on grab2_lite DW), so a span beyond it costs ``O(1)``; where that
+bound excludes nothing, ``D`` is every block and the cost is the
+``O(span + n / BLOCK)`` of keeping them all. Every edge, loaded or
+inserted, is applied by one kernel call per batch (``add_edges``), in
+``O(min(deg u, deg v))`` per edge: it scans the shorter endpoint row for
+a parallel edge and reaches the twin entry in
 the other row through the pool's ``mate`` index.
 
 A ``bulk_load`` of an empty engine weighs its load on columns instead:
@@ -187,15 +194,16 @@ class SpadeEngine:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_ctx"]
-        state["_used"] = self._ctx.used  # the rest of the struct lasts one call
+        # The pool's fill and Detect's window; the rest of the struct lasts one call.
+        state["_used"], state["_D"] = self._ctx.used, self._ctx.D
         return state
 
     def __setstate__(self, state: dict) -> None:
-        used = state.pop("_used")
+        used, D = state.pop("_used"), state.pop("_D")
         self.__dict__.update(state)
         self._ctx = ffi.new("spade_t *")
         self._point()
-        self._ctx.used = used
+        self._ctx.used, self._ctx.D = used, D
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -493,14 +501,21 @@ class SpadeEngine:
         ``b`` has had since it was last exact, and ``_bmax[b]``/``_barg[b]``
         its best ``g`` and longest best suffix as of then. A head insertion
         only adds longer suffixes, so no index moves when the sequence
-        grows at the head or its front gap regrows. Suffixes shorter than
-        the span keep ``F``, and longer ones keep their ``Δ`` and shift
-        ``f`` by one constant, the change of ``f`` at the span's longest
-        suffix. The span's blocks are re-accumulated and rescanned whole;
-        the longer suffixes' blocks take the shift as a lazy offset, and
-        such a stale block is rescanned only if its bound could still win.
-        An empty span leaves the state and ``S^P`` as they stand. The
-        longest suffix, the earliest slot, wins a tie, as in
+        grows at the head or its front gap regrows. Only the blocks below
+        the window ``D`` (the kernel state's ``D``) are kept: every ``Δ``
+        is >= 0, so ``g`` of a suffix of more than ``D * _block`` vertices
+        is at most ``f_total / (D * _block + 1)``, and while that bound is
+        below the best, none of them can win. Suffixes shorter than the
+        span keep ``F``, and longer ones keep their ``Δ`` and shift ``f``
+        by one constant, the change of ``f`` at the span's longest suffix.
+        The span's kept blocks are re-accumulated and rescanned whole; the
+        longer kept blocks take the shift as a lazy offset, and such a
+        stale block is rescanned only if its bound could still win. When
+        the bound beyond the window reaches the best, the window grows a
+        block at a time, each re-accumulated from the block below it;
+        after the query it drops to the first block the bound excludes,
+        above the winner's. An empty span leaves the state and ``S^P`` as
+        they stand. The longest suffix, the earliest slot, wins a tie, as in
         :func:`~repro.core.peel.best_community`; ``S^P`` is rebuilt only
         when the winning suffix could have changed.
         """
@@ -523,9 +538,16 @@ class SpadeEngine:
         return self.community_external(), self._best_g
 
     def _suffix_densities(self) -> np.ndarray:
-        """``g(S_j)`` of every slot, materialised from the block state."""
-        r = np.arange(self._hi - self._lo)[::-1]  # slot _lo + i starts suffix n - 1 - i
-        return (self._F[r] + self._off[r // self._block]) / (r + 1)
+        """``g(S_j)`` of every slot, materialised without writing any state:
+        from the block state below the window, and beyond it summed up from
+        the window's edge as ``detect`` would re-accumulate it."""
+        n, B = self._hi - self._lo, self._block
+        k = min(self._ctx.D * B, n)  # the suffixes the block state keeps
+        r = np.arange(n)
+        f = self._F[:n] + self._off[r // B]
+        anchor = f[k - 1] if k else 0.0
+        f[k:] = np.cumsum(self._delta[self._lo : self._hi][::-1][k:]) + anchor
+        return (f / (r + 1))[::-1]  # slot _lo + i starts suffix n - 1 - i
 
     # ------------------------------------------------------------------
     # front-gap management for head insertions of new vertices

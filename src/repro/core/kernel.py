@@ -58,16 +58,23 @@ those weights, and resumes the walk.
 :meth:`~repro.core.engine.SpadeEngine._refresh_detection`). Its state is
 indexed by suffix size: ``r`` is the suffix of ``r + 1`` vertices ending
 at slot ``hi - 1``, whose first slot is ``hi - 1 - r``, and block ``b``
-holds the suffixes ``b*B .. b*B + B - 1``. ``f`` of suffix ``r`` is
-``F[r]`` plus the offset ``off`` of its block: the gain the block has had
-since it was last exact, when ``bmax``/``barg``, its best ``g`` and longest
-best suffix, were taken. ``detect`` turns the rewritten slot span into
-suffixes once, at entry, and reads ``delta`` backward from ``hi - 1``. The
-span widens to whole blocks, and one pass up them re-accumulates ``F``
-and rescans each; the longer suffixes' blocks take the change of ``f`` at
-the span's longest suffix as offset. A block is stale iff its offset is
-not 0; the query rescans a stale winner, adding its offset into ``F``.
-``detect`` returns the id of the block holding the best suffix.
+holds the suffixes ``b*B .. b*B + B - 1``. Only the blocks below the
+window ``D`` are kept: every ``Δ`` is >= 0, so a suffix of more than
+``D*B`` vertices has ``g`` at most ``f_total / (D*B + 1)``, and once that
+bound is below the best ``g``, no longer suffix can win. In a kept block,
+``f`` of suffix ``r`` is ``F[r]`` plus the offset ``off`` of its block:
+the gain the block has had since it was last exact, when
+``bmax``/``barg``, its best ``g`` and longest best suffix, were taken.
+``detect`` turns the rewritten slot span into suffixes once, at entry,
+and reads ``delta`` backward from ``hi - 1``. The span widens to whole
+blocks, and one pass up its kept blocks re-accumulates ``F`` and rescans
+each; the longer kept blocks take the change of ``f`` at the span's
+longest suffix as offset. A block is stale iff its offset is not 0; the
+query rescans a stale winner, adding its offset into ``F``. While the
+bound on the suffixes beyond the window reaches the best, block ``D`` is
+re-accumulated from the block below it and joins; after the query, ``D``
+drops to the first block the bound excludes, but stays above the
+winner's. ``detect`` returns the id of the block holding the best suffix.
 
 ``peel`` is the static greedy peel (Algorithm 1, see
 :func:`~repro.core.peel.peel_sequence`) over a CSR adjacency: a binary
@@ -103,7 +110,7 @@ typedef struct {
     uint8_t *color;
     double *tw;
     int64_t *black, *touched, *pv;
-    int64_t nblack, bi, ntouched, nT, npend, k, out, end, first, stop;
+    int64_t nblack, bi, ntouched, nT, npend, k, out, end, first, stop, D;
     double dmin;
 } spade_t;
 """
@@ -138,19 +145,54 @@ static void keep(const double *F, int64_t r, double *best, int64_t *arg)
 }
 
 /* Make block b of the n suffixes exact: add its offset into F and rescan it. */
-static void scan(double *F, double *off, double *bmax, int64_t *barg, int64_t n, int64_t B,
-                 int64_t b)
+static void scan(spade_t *s, int64_t n, int64_t B, int64_t b)
 {
     int64_t r, arg = b * B;
     double best = -INFINITY;
 
     for (r = b * B; r < (b + 1) * B && r < n; r++) {
-        F[r] += off[b];
-        keep(F, r, &best, &arg);
+        s->F[r] += s->off[b];
+        keep(s->F, r, &best, &arg);
     }
-    bmax[b] = best;
-    barg[b] = arg;
-    off[b] = 0.0;
+    s->bmax[b] = best;
+    s->barg[b] = arg;
+    s->off[b] = 0.0;
+}
+
+/* Re-accumulate the blocks b0..b1 of the n suffixes in one pass up them,
+   anchored at the true f of the suffix below b0, and rescan each, now
+   exact. d[-r] is the delta of suffix r's first slot. */
+static void accumulate(spade_t *s, const double *d, int64_t n, int64_t B, int64_t b0,
+                       int64_t b1)
+{
+    double *F = s->F, sum = 0.0;
+    double anchor = b0 ? F[b0 * B - 1] + s->off[b0 - 1] : 0.0;
+    int64_t b, r;
+
+    for (b = b0; b <= b1; b++) {
+        int64_t arg = b * B;
+        double best = -INFINITY;
+
+        for (r = b * B; r < (b + 1) * B && r < n; r++) {
+            sum += d[-r];
+            F[r] = sum + anchor;
+            keep(F, r, &best, &arg);
+        }
+        s->bmax[b] = best;
+        s->barg[b] = arg;
+        s->off[b] = 0.0;
+    }
+}
+
+/* Every delta is >= 0, so no suffix weighs more than f(S_0): g of every
+   suffix of more than D*B vertices is at most f_total / (D*B + 1). A double
+   sum of k terms >= 0 is within k*2^-53 of its exact value, relative, so
+   below 2^30 terms each of f_total and a suffix's f is within 2^-23 of
+   its own; the margin 2^-20 covers both, the division's rounding and the
+   drift of the lazy offsets (measured below 1e-9 on long streams). */
+static double beyond(const spade_t *s, int64_t D, int64_t B)
+{
+    return *s->f_total * (1.0 + 0x1p-20) / (double)(D * B + 1);
 }
 
 /* Index of y in row x, or -1. */
@@ -409,53 +451,37 @@ int64_t relax(spade_t *s, int64_t vmin, double h)
 
 int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, int64_t B)
 {
-    double *F = s->F, *off = s->off, *bmax = s->bmax;
+    double *off = s->off, *bmax = s->bmax;
     const double *d = s->delta + hi - 1; /* d[-r]: delta of suffix r's first slot */
-    int64_t *barg = s->barg;
-    int64_t n = hi - lo, nb = (n + B - 1) / B;
-    int64_t be = (hi - end) / B, bf = (hi - 1 - first) / B, b, r;
-    int64_t last = ((bf + 1) * B < n ? (bf + 1) * B : n) - 1;
-    double anchor, old, sum = 0.0;
+    int64_t n = hi - lo, nb = (n + B - 1) / B, D = s->D;
+    int64_t be = (hi - end) / B, bf = (hi - 1 - first) / B, b, top;
+    double bound;
 
     /* The slots [first, end) are the suffixes hi - end .. hi - 1 - first;
-       they widen to their blocks, be up to bf: be*B .. last. */
-    anchor = be ? F[be * B - 1] + off[be - 1] : 0.0;
-    old = last < n - 1 ? F[last] + off[bf] : 0.0;
+       they widen to their blocks, be up to bf. Only the blocks below D are
+       kept: those of the span are re-accumulated and rescanned, and the
+       longer ones shift by the change of f at the span's longest suffix,
+       lazily. A span from block D up costs nothing. */
+    if (be < D) {
+        int64_t last = (bf + 1) * B - 1;
+        double old = bf + 1 < D ? s->F[last] + off[bf] : 0.0;
 
-    /* One ascending pass re-accumulates f over the span, anchored at the
-       true f of the suffix below it, and rescans each of its blocks, now
-       exact. */
-    for (b = be; b <= bf; b++) {
-        int64_t arg = b * B;
-        double best = -INFINITY;
-
-        for (r = b * B; r < (b + 1) * B && r < n; r++) {
-            sum += d[-r];
-            F[r] = sum + anchor;
-            keep(F, r, &best, &arg);
-        }
-        bmax[b] = best;
-        barg[b] = arg;
-        off[b] = 0.0;
-    }
-
-    /* The longer suffixes' blocks shift by the change of F[last], lazily. */
-    if (last < n - 1) {
-        double shift = F[last] - old;
-
-        for (b = bf + 1; b < nb; b++)
-            off[b] += shift;
+        accumulate(s, d, n, B, be, bf < D ? bf : D - 1);
+        for (b = bf + 1; b < D; b++)
+            off[b] += s->F[last] - old;
     }
 
     /* Query: a block's g can exceed bmax by at most max(off, 0) over its
        shortest suffix. Take the highest bound, ties to the longer suffixes;
-       a stale winner (off != 0) is rescanned and the query repeats. Only a
-       stale bound is inflated against rounding: an exact block's bound is
-       its g, and a stale block that ties it must not lose on rounding. */
+       only a stale bound is inflated against rounding: an exact block's
+       bound is its g, and a stale block that ties it must not lose on
+       rounding. While the bound on every suffix from block D up reaches
+       it, block D is re-accumulated from the block below and joins. A
+       stale winner (off != 0) is rescanned and the query repeats. */
     for (;;) {
-        int64_t top = 0;
-        double bound = -INFINITY;
-        for (b = 0; b < nb; b++) {
+        top = 0;
+        bound = -INFINITY;
+        for (b = 0; b < D; b++) {
             double u = bmax[b] + (off[b] > 0.0 ? off[b] : 0.0) / (double)(b * B + 1);
             if (off[b] != 0.0)
                 u += 1e-12 * fabs(u);
@@ -464,10 +490,24 @@ int64_t detect(spade_t *s, int64_t lo, int64_t hi, int64_t first, int64_t end, i
                 top = b;
             }
         }
+        for (; D < nb && beyond(s, D, B) >= bound; D++) {
+            accumulate(s, d, n, B, D, D);
+            if (bmax[D] >= bound) {
+                bound = bmax[D];
+                top = D;
+            }
+        }
         if (off[top] == 0.0)
-            return top;
-        scan(F, off, bmax, barg, n, B, top);
+            break;
+        scan(s, n, B, top);
     }
+
+    /* Drop the blocks whose every suffix the bound keeps below the best,
+       but never the winner's. */
+    while (D - 1 > top && beyond(s, D - 1, B) < bmax[top])
+        D--;
+    s->D = D;
+    return top;
 }
 
 /* Heap entry i orders before entry j: (w, vid) compared as a tuple. */

@@ -53,14 +53,32 @@ class Metric:
             )
 
 
+# The published metrics' functions live at module level, so an engine
+# holding one of them pickles.
+def _no_prior(prior: float) -> float:
+    return 0.0
+
+
+def _prior(prior: float) -> float:
+    return float(prior)
+
+
+def _unit(amount: float, dst_degree: int) -> float:
+    return 1.0
+
+
+def _amount(amount: float, dst_degree: int) -> float:
+    return float(amount)
+
+
 def _fd_esusp(amount: float, dst_degree: int) -> float:
     # Fraudar column-weighting: 1/log(x + c) with x the object degree.
     return 1.0 / math.log(dst_degree + FD_LOG_C)
 
 
-DG = Metric("DG", vsusp=lambda prior: 0.0, esusp=lambda amount, deg: 1.0)
-DW = Metric("DW", vsusp=lambda prior: 0.0, esusp=lambda amount, deg: float(amount))
-FD = Metric("FD", vsusp=lambda prior: float(prior), esusp=_fd_esusp)
+DG = Metric("DG", vsusp=_no_prior, esusp=_unit)
+DW = Metric("DW", vsusp=_no_prior, esusp=_amount)
+FD = Metric("FD", vsusp=_prior, esusp=_fd_esusp)
 
 _METRICS = {m.name: m for m in (DG, DW, FD)}
 

@@ -71,8 +71,8 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     The community check asserts the detected suffix *achieves* the
     maximum suffix density rather than matching one canonical argmax:
     several suffixes can tie exactly, and float-epsilon differences
-    between the engine's accumulated ``f_total`` and a recomputed one
-    may flip which tied index ``argmax`` returns.
+    between the engine's suffix sums and the long-double ones here may
+    flip which tied index ``argmax`` returns.
     """
     n, adj, a = eng.snapshot_graph()
     order_ext = eng.order_external()
@@ -83,8 +83,11 @@ def assert_engine_valid(eng: SpadeEngine) -> None:
     assert abs(f_total - eng.f_total) <= 1e-6 * max(1.0, abs(f_total))
     if n == 0:
         return
-    f = eng.f_total - np.concatenate(([0.0], np.cumsum(delta[:-1])))
-    g_all = f / np.arange(n, 0, -1, dtype=float)
+    # f(S_j) as a long-double tail sum of Δ: f_total minus a double prefix
+    # sum of Δ loses more than the engine does on a full-scale load.
+    d = delta.astype(np.longdouble)
+    f = np.cumsum(d[::-1])[::-1]
+    g_all = (f / np.arange(n, 0, -1)).astype(np.float64)
     g_max = float(g_all.max())
     tol = 1e-6 * max(1.0, abs(g_max))
     assert abs(g_max - eng.best_density) <= tol
@@ -102,17 +105,17 @@ def engine_state(eng: SpadeEngine) -> tuple:
     """Everything an update may change, copied for an unchanged-state check.
 
     The graph is its rows, the pool with its mates and the pool's fill;
-    the vertex arrays include ``a``, ``w0``, the in-degrees, the colour
-    bytes and the walk's scratch space. Unused room is compared too, so
-    this tells one engine's states apart, not two engines'
-    (:func:`live_state` does that).
+    Detect's state includes its window ``D``; the vertex arrays include
+    ``a``, ``w0``, the in-degrees, the colour bytes and the walk's scratch
+    space. Unused room is compared too, so this tells one engine's states
+    apart, not two engines' (:func:`live_state` does that).
     """
     arrays = (eng._order, eng._delta, eng._pos, eng._F, eng._off, eng._bmax, eng._barg,
               eng._rstart, eng._rlen, eng._rcap, eng._nbr, eng._c, eng._mate, eng._a,
               eng._w0, eng._in_deg, eng._color)
     return (
-        eng._ctx.used, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges, eng._lo, eng._hi,
-        eng.best_density, set(eng._community), list(eng._benign_buffer),
+        eng._ctx.used, eng._ctx.D, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges,
+        eng._lo, eng._hi, eng.best_density, set(eng._community), list(eng._benign_buffer),
         tuple(x.tobytes() for x in arrays),
     )
 
@@ -122,8 +125,8 @@ def live_state(eng: SpadeEngine) -> tuple:
     the allocator left, so two engines with the same history compare equal.
 
     The graph is each row's place, room, neighbours, weights and mates, and
-    the pool's fill; the sequence is its live slots and ``F`` its ``n``
-    suffixes.
+    the pool's fill; the sequence is its live slots, ``F`` its ``n``
+    suffixes, and Detect's state includes its window ``D``.
     """
     n, lo, hi, used = eng.n_vertices, eng._lo, eng._hi, eng._ctx.used
     live = [j for p, k in zip(eng._rstart[:n].tolist(), eng._rlen[:n].tolist())
@@ -133,7 +136,7 @@ def live_state(eng: SpadeEngine) -> tuple:
               eng._nbr[live], eng._c[live], eng._mate[live], eng._a[:n],
               eng._w0[:n], eng._in_deg[:n])
     return (
-        used, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges, lo, hi,
+        used, eng._ctx.D, dict(eng._vid_of), eng.f_total.hex(), eng.n_edges, lo, hi,
         eng.best_density.hex(), set(eng._community), list(eng._benign_buffer),
         tuple(x.tobytes() for x in arrays),
     )

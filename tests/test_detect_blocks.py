@@ -2,11 +2,12 @@
 
 The engine keeps ``f`` per suffix size minus a per-block lazy offset, the
 gain the block has had since it was last exact, and per block the best
-``g`` and longest best suffix as of then (``repro.core.kernel``). With
-blocks of 4 suffixes, small graphs span many blocks, so random streams of
-every update kind exercise the offsets, spans widened to whole blocks,
-the stale-block rescans of the query, head insertions into partial
-blocks and front-gap regrows.
+``g`` and longest best suffix as of then (``repro.core.kernel``), but only
+for the blocks below its window ``D``: no longer suffix can beat the best.
+With blocks of 4 suffixes, small graphs span many blocks, so random
+streams of every update kind exercise the offsets, spans widened to whole
+blocks, the stale-block rescans of the query, a window that grows and
+shrinks, head insertions into partial blocks and front-gap regrows.
 """
 import math
 
@@ -17,8 +18,7 @@ from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
 from repro.core import DG, DW, FD, SpadeEngine
-from repro.core.peel import best_community
-from tests.helpers import assert_engine_valid
+from tests.helpers import assert_engine_valid, engine_state
 
 POOL = 10  # vertices v0..v9 of the initial graph
 
@@ -28,31 +28,72 @@ def assert_blocks_match_full(eng: SpadeEngine) -> None:
 
     ``assert_engine_valid`` checks that ``S^P`` is a suffix reaching the
     maximum and that every materialised ``g(S_j)`` is within 1e-9; this
-    adds ``best_density`` and ``f`` of every suffix within 1e-9 and the
-    exactness of every block without an offset. ``r`` is the suffix of
-    ``r + 1`` vertices ending at the tail, and block ``b`` holds the
-    suffixes ``b*B .. b*B + B - 1``.
+    adds, against a long-double tail sum of ``Δ``: ``best_density``;
+    ``f`` of every suffix below the window within 1e-9 and the exactness
+    of every block there without an offset; and ``g`` strictly below the
+    best for every suffix from the window up. Materialising the densities
+    writes no state. ``r`` is the suffix of ``r + 1`` vertices ending at
+    the tail, and block ``b`` holds the suffixes ``b*B .. b*B + B - 1``.
     """
     assert_engine_valid(eng)
-    lo, hi, B = eng._lo, eng._hi, eng._block
+    lo, hi, B, D = eng._lo, eng._hi, eng._block, eng._ctx.D
     n = hi - lo
     if n == 0:
         return
-    order, d = eng._order[lo:hi], eng._delta[lo:hi]
-    _, g = best_community(order, d, eng.f_total)
-    assert eng.best_density == pytest.approx(g, rel=1e-9, abs=1e-9)
-    f = eng.f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
-    r = np.arange(n)
-    F = eng._F[:n] + eng._off[r // B]
-    np.testing.assert_allclose(F, f[::-1], rtol=1e-9, atol=1e-9)
+    d = eng._delta[lo:hi].astype(np.longdouble)
+    f = np.cumsum(d[::-1])  # by suffix
+    g = f / np.arange(1, n + 1)
+    assert eng.best_density == pytest.approx(float(g.max()), rel=1e-9, abs=1e-9)
+    assert (len(eng._community) - 1) // B < D <= -(-n // B), "the winner is outside the window"
+    assert np.all(g[D * B :] < g.max()), "a suffix beyond the window reaches the best"
+    kept = min(D * B, n)
+    r = np.arange(kept)
+    F = eng._F[:kept] + eng._off[r // B]
+    np.testing.assert_allclose(F, f[:kept].astype(np.float64), rtol=1e-9, atol=1e-9)
+    before = engine_state(eng)
     G = eng._suffix_densities()[::-1]  # by suffix
-    for b in range(-(-n // B)):
+    assert engine_state(eng) == before, "materialising the densities wrote state"
+    for b in range(D):
         if eng._off[b] != 0.0:
             continue
         g_b = G[b * B : (b + 1) * B]
         assert eng._bmax[b] == g_b.max(), f"block {b} max is stale"
         longest = len(g_b) - 1 - int(np.argmax(g_b[::-1]))
         assert eng._barg[b] == b * B + longest, f"block {b} argmax"
+
+
+def k4(p):
+    return [(f"{p}{i}", f"{p}{j}", 1.0) for i in range(4) for j in range(i + 1, 4)]
+
+
+@pytest.mark.parametrize("metric, initial, later, windows", [
+    # a regrowing window: the heavy triangle wins at first, then the path
+    # outweighs it and the window grows to the path's block
+    (DW, [("a0", "a1", 10.0), ("a1", "a2", 10.0), ("a0", "a2", 10.0), ("a0", "p0", 1.0)]
+     + [(f"p{i}", f"p{i + 1}", 1.0) for i in range(11)],
+     [(f"p{i}", f"p{i + 1}", 50.0) for i in range(11)], (1, 3)),
+    # the bound excludes nothing: the whole cycle is densest, before and
+    # after a chord, so every block stays
+    (DG, [(f"c{i}", f"c{(i + 1) % 13}", 1.0) for i in range(13)], [("c0", "c6", 1.0)], (4, 4)),
+    # a DG tie across the window's edge: one K4 and both K4s have g = 1.5,
+    # and the bound beyond block 0, 12 / 5, reaches it, so block 1 joins
+    # and both K4s win; a bridge then makes the whole graph densest
+    (DG, k4("x") + k4("y"), [("x0", "y0", 1.0)], (2, 2)),
+], ids=["regrow", "nothing-excluded", "tie-at-edge"])
+def test_window_cases(metric, initial, later, windows):
+    """The window ``D`` after a load and after later single edges, with
+    blocks of 4 suffixes, and the block state exact below it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "BLOCK", 4)
+        eng = SpadeEngine(metric)
+    eng.bulk_load(initial)
+    assert_blocks_match_full(eng)
+    assert eng._ctx.D == windows[0]
+    for e in later:
+        eng.insert_edge(*e)
+        assert_blocks_match_full(eng)
+    assert eng._ctx.D == windows[1]
+    assert len(eng._community) > (windows[1] - 1) * 4
 
 
 amounts = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 20.0))

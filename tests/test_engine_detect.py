@@ -267,6 +267,17 @@ class TestAtomicRejection:
         assert eng._in_deg[eng._vid_of["m"]] == 2
 
 
+def test_full_scale_load_is_valid():
+    """A plain load of grab1_lite FD at scale 1 passes ``assert_engine_valid``:
+    its suffix densities are checked against a long-double tail sum of
+    ``Δ``, since ``f_total`` minus a double prefix sum of ``Δ`` is itself
+    2.4e-8 off there while the engine is within 1e-13."""
+    data = load_preset("grab1_lite", scale=1.0, seed=1)
+    eng = SpadeEngine(FD)
+    eng.bulk_load(edge_rows(data.initial), priors=data.priors)
+    assert_engine_valid(eng)
+
+
 @pytest.mark.parametrize("metric, limit", [(DW, None), (FD, 1500)], ids=["DW", "FD"])
 def test_long_stream_does_not_drift(metric, limit):
     """Single-edge replay of grab1_lite's increments: every 250 edges the

@@ -9,11 +9,13 @@ state matches it" (``assert_engine_valid``); on continuous weights
 tie-broken peel *exactly*.
 """
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_mod
 from repro.core import DG, DW, FD, Metric, SpadeEngine
 from repro.core.peel import csr, peel_sequence
 from tests.helpers import assert_engine_valid, live_state, random_edges
@@ -209,6 +211,34 @@ def test_deepcopy_keeps_the_state_and_evolves_alike():
     eng.insert_batch(batch)
     twin.insert_batch(batch)
     assert len(eng._nbr) > size
+    assert live_state(twin) == live_state(eng)
+    assert_engine_valid(twin)
+
+
+@pytest.mark.parametrize("metric", [DG, DW, FD], ids=lambda m: m.name)
+def test_pickle_mid_stream_keeps_the_state_and_evolves_alike(metric, monkeypatch):
+    """An engine of each published metric pickles mid-stream, with Detect's
+    window ``D`` below its last block; the copy equals the original, and
+    the same later updates (single edges, a batch of new vertices that
+    regrows the front gap, grouped inserts and a flush) leave both equal."""
+    monkeypatch.setattr(engine_mod, "BLOCK", 4)
+    eng = SpadeEngine(metric, vertex_prior=0.2)
+    clique = [(f"v{i}", f"v{j}", 5.0) for i in range(5) for j in range(5) if i != j] * 5
+    edges = random_edges(5, n=40, m=160, continuous=True)
+    eng.bulk_load(clique + edges[:100])
+    for e in edges[100:130]:
+        eng.insert_edge(*e)
+    assert 0 < eng._ctx.D < -(-eng.n_vertices // 4), "the window excludes no block"
+    twin = pickle.loads(pickle.dumps(eng))
+    assert live_state(twin) == live_state(eng)
+    regrow = [(f"n{i}", f"v{i % 40}", 0.5 + i / 10) for i in range(eng._lo + 3)]
+    for x in (eng, twin):
+        for e in edges[130:]:
+            x.insert_edge(*e)
+        x.insert_batch(regrow)
+        for i in range(6):
+            x.insert_grouped(f"v{i}", f"v{i + 7}", 0.01 * (i + 1), max_buffer=4)
+        x.flush_buffer()
     assert live_state(twin) == live_state(eng)
     assert_engine_valid(twin)
 

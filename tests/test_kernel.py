@@ -97,7 +97,10 @@ def white_runs(draw):
 
 def kernel_state(arrays):
     """A kernel state pointing at ``arrays``, a dict of its field names to
-    numpy arrays, which the caller keeps alive."""
+    numpy arrays, which the caller keeps alive. ``f_total`` is always set
+    (to 0 unless given, kept alive in ``arrays``): ``detect`` reads it, and
+    a NULL one would crash the process rather than fail a test."""
+    arrays.setdefault("f_total", np.zeros(1))
     s = kernel.ffi.new("spade_t *")
     fields = dict(kernel.ffi.typeof("spade_t").fields)
     for name, arr in arrays.items():
@@ -199,11 +202,12 @@ def block_best(g, b):
 
 @st.composite
 def detect_cases(draw):
-    """A Detect block state for the slots ``[lo, hi)``, exact for the old Δ
-    under its offsets, the gain each block has had since it was last exact, the span
-    ``[first, end)`` a reorder rewrote and the span's new Δ. Integer Δs and
-    offsets keep every ``f(S_j)`` exact, so equal densities are equal
-    doubles: ties are real ties."""
+    """A Detect block state for the slots ``[lo, hi)`` with the window ``D``:
+    the blocks below ``D`` exact for the old Δ under their offsets, the
+    gain each block has had since it was last exact, and the blocks from
+    ``D`` up left as garbage; the span ``[first, end)`` a reorder rewrote
+    and the span's new Δ. Integer Δs and offsets keep every ``f(S_j)``
+    exact, so equal densities are equal doubles: ties are real ties."""
     lo = draw(st.integers(0, 3))
     hi = lo + draw(st.integers(1, 22))
     first = draw(st.integers(lo, hi - 1))
@@ -213,41 +217,60 @@ def detect_cases(draw):
     old = draw(st.lists(small, min_size=hi - lo, max_size=hi - lo))
     new = draw(st.lists(small, min_size=end - first, max_size=end - first))
     off = draw(st.lists(st.integers(-5, 5).map(float), min_size=nb, max_size=nb))
-    return lo, hi, first, end, old, new, off
+    return lo, hi, first, end, old, new, off, draw(st.integers(0, nb))
 
 
 @settings(max_examples=400, deadline=None)
 @given(detect_cases())
 # a span from a block's bottom slot: only earlier blocks take the shift
-@example((0, 12, 4, 10, [1.0, 2.0, 0.0, 3.0] * 3, [3.0] * 6, [2.0, -1.0, 4.0]))
+@example((0, 12, 4, 10, [1.0, 2.0, 0.0, 3.0] * 3, [3.0] * 6, [2.0, -1.0, 4.0], 3))
 # a span that ends at hi, the anchor f = 0
-@example((1, 13, 5, 13, [2.0, 1.0, 0.0] * 4, [0.0, 1.0] * 4, [1.0, -3.0, 5.0]))
+@example((1, 13, 5, 13, [2.0, 1.0, 0.0] * 4, [0.0, 1.0] * 4, [1.0, -3.0, 5.0], 3))
 # a span inside one block, with slots of that block on both sides of it
-@example((1, 13, 6, 8, [0.0, 3.0, 1.0] * 4, [3.0, 3.0], [-2.0, 4.0, 1.0]))
+@example((1, 13, 6, 8, [0.0, 3.0, 1.0] * 4, [3.0, 3.0], [-2.0, 4.0, 1.0], 3))
 # first == lo: every slot is re-accumulated from the span down
-@example((2, 11, 2, 7, [1.0] * 9, [2.0, 0.0, 3.0, 1.0, 1.0], [3.0, -5.0, 2.0]))
+@example((2, 11, 2, 7, [1.0] * 9, [2.0, 0.0, 3.0, 1.0, 1.0], [3.0, -5.0, 2.0], 3))
 # boundary blocks with nonzero offsets, which the span takes whole
-@example((0, 16, 3, 10, [1.0, 0.0, 2.0, 3.0] * 4, [2.0] * 7, [5.0, -4.0, 3.0, -2.0]))
+@example((0, 16, 3, 10, [1.0, 0.0, 2.0, 3.0] * 4, [2.0] * 7, [5.0, -4.0, 3.0, -2.0], 4))
 # a Δ plateau: g = 2 on every slot, across every block boundary; the
 # earliest slot wins, also over stale blocks whose bound ties
-@example((0, 14, 5, 9, [2.0] * 14, [2.0] * 4, [1.0, -1.0, 2.0, 0.0]))
-@example((3, 15, 7, 12, [2.0] * 12, [2.0] * 5, [0.0, 4.0, -3.0]))
+@example((0, 14, 5, 9, [2.0] * 14, [2.0] * 4, [1.0, -1.0, 2.0, 0.0], 4))
+@example((3, 15, 7, 12, [2.0] * 12, [2.0] * 5, [0.0, 4.0, -3.0], 3))
 # block 2, ahead of the span, has a positive offset and wins on its
 # bound: the query rescans it, adding the offset into F
-@example((0, 12, 8, 10, [3.0] * 4 + [1.0] * 8, [2.0, 2.0], [0.0, 0.0, 3.0]))
+@example((0, 12, 8, 10, [3.0] * 4 + [1.0] * 8, [2.0, 2.0], [0.0, 0.0, 3.0], 3))
 # block 2 is stale and ties exact block 1 (g = 15/9 = 10/6), but its bound
 # 12/9 + 3/9 rounds below 10/6: the tie must still go to the earlier slot
-@example((2, 11, 8, 9, [2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 0.0, 1.0, 1.0], [3.0], [0.0, 0.0, 0.0]))
+@example((2, 11, 8, 9, [2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 0.0, 1.0, 1.0], [3.0], [0.0, 0.0, 0.0], 3))
+# a regrowing window: the whole sequence wins, so blocks 1 and 2 are
+# re-accumulated from the block below them and join
+@example((0, 12, 9, 10, [3.0] * 4 + [0.0] * 8, [0.0], [0.0, 0.0, 0.0], 1))
+# a shrinking window: f_total / 5 < 3, so only block 0, the winner's, stays
+@example((0, 12, 0, 1, [0.0] * 8 + [3.0] * 4, [0.0], [0.0, 0.0, 0.0], 3))
+# a span wholly beyond the window rewrites nothing, and nothing beyond it
+# is read
+@example((0, 12, 0, 2, [1.0, 1.0] + [0.0] * 6 + [3.0] * 4, [0.0, 0.0], [0.0, 0.0, 0.0], 1))
+# the bound excludes nothing: the whole sequence is densest, every block stays
+@example((1, 14, 4, 9, [3.0] + [1.0] * 12, [1.0] * 5, [2.0, -1.0, 0.0, 3.0], 4))
+# a DG plateau tie at the window's edge: f_total / 5 = 2 = the best g, so
+# block 1 joins and its longest suffix, 5 slots at g = 2, wins the tie
+@example((0, 8, 5, 7, [0.0] * 3 + [2.0] * 5, [2.0, 2.0], [0.0, 0.0], 1))
+# the empty window of a fresh engine
+@example((0, 9, 0, 9, [0.0] * 9, [1.0, 2.0, 0.0, 3.0, 1.0, 1.0, 0.0, 2.0, 1.0],
+          [0.0, 0.0, 0.0], 0))
 def test_detect_matches_full_recompute(case):
     """``detect`` after a span rewrite, with ``F`` and the blocks indexed by
     suffix: ``r`` is the suffix of ``r + 1`` slots ending at ``hi``, and
-    block ``b`` holds the suffixes ``b*4 .. b*4 + 3``. ``F`` plus its
-    block's offset is every suffix's new ``f``, the span's blocks end exact
-    with no offset, each block without an offset holds its exact best and
-    longest best suffix, and the block returned holds the sequence's best
-    slot, the earliest on a tie. Nothing past the ``n`` suffixes and their
-    blocks is written, and ``delta`` is only read."""
-    lo, hi, first, end, old, new, off = case
+    block ``b`` holds the suffixes ``b*4 .. b*4 + 3``. After it, the window
+    ``D`` lies above the winner's block; below ``D``, ``F`` plus its
+    block's offset is every suffix's new ``f``, the span's blocks and those
+    that joined end exact with no offset, and each block without an offset
+    holds its exact best and longest best suffix. Every suffix from block
+    ``D`` up has ``g`` below the best. The block returned holds the
+    sequence's best slot, the earliest on a tie. Nothing from the old and
+    new window up and past the ``n`` suffixes is written, and ``delta`` is
+    only read."""
+    lo, hi, first, end, old, new, off, D = case
     n, nb = hi - lo, len(off)
     r = np.arange(n)
     blk = r // B
@@ -255,32 +278,44 @@ def test_detect_matches_full_recompute(case):
     delta[lo:hi] = old
     f_old = tail_sums(delta[lo:hi])[::-1]
     off = np.array(off + [9.0])  # one block past nb, which detect must not touch
-    F = np.full(n + 2, 5.0)
-    F[:n] = f_old - off[blk]
+    F = np.full(n + 2, 5.0)  # beyond the window too
+    below = r < D * B
+    F[:n][below] = (f_old - off[blk])[below]
     bmax, barg = np.full(nb + 1, 9.0), np.full(nb + 1, -9, dtype=np.int64)
-    for b in range(nb):  # as of each block's last exact state, before off was gained
+    for b in range(D):  # as of each block's last exact state, before off was gained
         bmax[b], barg[b] = block_best(F[:n] / (r + 1), b)
     delta[first:end] = new
     f = tail_sums(delta[lo:hi])[::-1]
     g = f / (r + 1)
-    arrays = {"F": F, "delta": delta, "off": off, "bmax": bmax, "barg": barg}
-    outside = [F[n:].copy(), delta.copy()]
+    f_total = np.array([f[-1]])
+    arrays = {"F": F, "delta": delta, "off": off, "bmax": bmax, "barg": barg,
+              "f_total": f_total}
+    garbage = [x.copy() for x in (F, off, bmax, barg)]
+    delta_in = delta.copy()
+    s = kernel_state(arrays)
+    s.D = D
 
-    b = kernel.lib.detect(kernel_state(arrays), lo, hi, first, end, B)
+    b = kernel.lib.detect(s, lo, hi, first, end, B)
 
-    np.testing.assert_array_equal(F[:n] + off[blk], f)
+    assert b < s.D <= nb
+    kept = r < s.D * B
+    np.testing.assert_array_equal((F[:n] + off[blk])[kept], f[kept])
     assert (hi - 1 - barg[b], bmax[b]) == (lo + int(np.argmax(g[::-1])), g.max())
+    assert np.all(g[~kept] < g.max())
     span_blocks = range((hi - end) // B, (hi - 1 - first) // B + 1)
-    for k in range(nb):
-        assert k not in span_blocks or off[k] == 0.0, f"span block {k} kept an offset"
+    for k in range(s.D):
+        if k in span_blocks or k >= D:
+            assert off[k] == 0.0, f"block {k} was re-accumulated but kept an offset"
         if off[k] == 0.0:
             assert (bmax[k], barg[k]) == block_best(g, k), f"block {k}"
         else:  # still a bound: g in block k exceeds bmax by at most off / size
             size = r[blk == k] + 1
             assert np.all(g[blk == k] <= bmax[k] + off[k] / size + 1e-12), f"block {k}"
-    for got, want in zip([F[n:], delta], outside):
-        np.testing.assert_array_equal(got, want)
-    assert (off[nb], bmax[nb], barg[nb]) == (9.0, 9.0, -9)
+    untouched = max(D, s.D)
+    for got, want in zip((F, off, bmax, barg), garbage):
+        rows = slice(min(untouched * B, n), None) if got is F else slice(untouched, None)
+        np.testing.assert_array_equal(got[rows], want[rows])
+    np.testing.assert_array_equal(delta, delta_in)
 
 
 def dict_rows(eng, edges, adj):
